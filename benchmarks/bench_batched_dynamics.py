@@ -23,7 +23,10 @@ effect on two workloads at ``n in {50, 100, 200}``:
   spanning tree of the mesh, where early moves shortcut a high-stretch
   network and genuinely invalidate most proposals.  Batching is expected
   to be roughly neutral here (~1.0-1.2x); the benchmark asserts it is
-  never significantly slower.
+  never significantly slower.  A single pair's ratio spreads from about
+  0.64 to 0.95 on unchanged code, so this gate takes the median over
+  ``PAIRS`` timed pairs (after one untimed warm-up pair), alternating
+  which schedule runs first, and reports the ratios' interquartile range.
 
 Both workloads assert that the two schedules converge with identical move
 counts and identical final social cost — the trajectory-equality property
@@ -46,6 +49,7 @@ from repro.core import NetworkCreationGame, StrategyProfile, run_dynamics
 from repro.core.host_graph import HostGraph
 
 SIZES = (50, 100, 200)
+PAIRS = 5
 ALPHA = 0.3
 MESH_DEGREE = 6
 GATEWAY_WEIGHT = 2.0
@@ -138,10 +142,16 @@ def _timed_run(game, start, schedule: str, order: str):
     return time.perf_counter() - t0, result
 
 
-def compare_schedules(game, start, order: str) -> dict[str, float]:
+def compare_schedules(
+    game, start, order: str, *, batched_first: bool = False
+) -> dict[str, float]:
     """Run both schedules on one instance and collect timing + equality."""
-    t_seq, seq = _timed_run(game, start, "sequential", order)
-    t_bat, bat = _timed_run(game, start, "batched", order)
+    if batched_first:
+        t_bat, bat = _timed_run(game, start, "batched", order)
+        t_seq, seq = _timed_run(game, start, "sequential", order)
+    else:
+        t_seq, seq = _timed_run(game, start, "sequential", order)
+        t_bat, bat = _timed_run(game, start, "batched", order)
     hit_total = bat.schedule_hits + bat.schedule_misses
     return {
         "sequential_s": t_seq,
@@ -152,6 +162,30 @@ def compare_schedules(game, start, order: str) -> dict[str, float]:
         "same_cost": seq.final_social_cost == pytest.approx(bat.final_social_cost, rel=1e-9),
         "hit_rate": bat.schedule_hits / hit_total if hit_total else 0.0,
         "moves": seq.moves,
+    }
+
+
+def sample_schedules(game, start, order: str, pairs: int = PAIRS) -> dict[str, float]:
+    """Median speedup over ``pairs`` timed pairs after one warm-up pair.
+
+    The timed pairs alternate which schedule runs first, so slow drift in
+    machine load falls on both sides; every pair must agree on the
+    trajectory.
+    """
+    compare_schedules(game, start, order)  # warm-up, discarded
+    samples = [
+        compare_schedules(game, start, order, batched_first=bool(i % 2))
+        for i in range(pairs)
+    ]
+    q1, median, q3 = np.percentile([s["speedup"] for s in samples], [25, 50, 75])
+    return {
+        "sequential_s": float(np.median([s["sequential_s"] for s in samples])),
+        "batched_s": float(np.median([s["batched_s"] for s in samples])),
+        "speedup": float(median),
+        "speedup_iqr": float(q3 - q1),
+        "pairs": pairs,
+        "same_moves": all(s["same_moves"] for s in samples),
+        "same_cost": all(s["same_cost"] for s in samples),
     }
 
 
@@ -186,14 +220,16 @@ def test_cold_start_not_slower(benchmark, n, paper_report):
     game = NetworkCreationGame(host, ALPHA)
     start = spanning_tree_profile(host)
     stats = benchmark.pedantic(
-        compare_schedules, args=(game, start, "round_robin"), rounds=1, iterations=1
+        sample_schedules, args=(game, start, "round_robin"), rounds=1, iterations=1
     )
     paper_report(
         f"Batched schedule — cold start from a spanning tree (n={n})",
         [
-            ("sequential [s]", "-", stats["sequential_s"]),
-            ("batched [s]", "-", stats["batched_s"]),
-            ("speedup", "~1 (batching is free)", stats["speedup"]),
+            ("sequential [s], median", "-", stats["sequential_s"]),
+            ("batched [s], median", "-", stats["batched_s"]),
+            (f"speedup, median of {stats['pairs']} pairs", "~1 (batching is free)",
+             stats["speedup"]),
+            ("speedup IQR", "-", stats["speedup_iqr"]),
             ("identical converged cost", "always", stats["same_cost"]),
         ],
     )
@@ -226,10 +262,11 @@ def main() -> int:
     for n in (50, 100):
         host, _ = gateway_host(n)
         game = NetworkCreationGame(host, ALPHA)
-        stats = compare_schedules(game, spanning_tree_profile(host), "round_robin")
+        stats = sample_schedules(game, spanning_tree_profile(host), "round_robin")
         print(
             f"  n={n:>3} round_robin: sequential {stats['sequential_s']:6.2f}s  "
-            f"batched {stats['batched_s']:6.2f}s  speedup {stats['speedup']:.2f}x  "
+            f"batched {stats['batched_s']:6.2f}s  speedup {stats['speedup']:.2f}x "
+            f"(median of {stats['pairs']}, IQR {stats['speedup_iqr']:.2f})  "
             f"identical={stats['same_moves'] and stats['same_cost']}"
         )
         ok &= stats["same_moves"] and stats["same_cost"]

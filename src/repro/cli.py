@@ -28,18 +28,17 @@ writing any code:
 
 Every command accepts ``--seed`` for reproducibility.  The ``poa``,
 ``dynamics`` and ``simulate`` commands are driven by a
-:class:`repro.core.session.SimulationConfig`: pass ``--config path.json``
+:class:`repro.core.config.SimulationConfig`: pass ``--config path.json``
 to load one (the JSON layout of
-:meth:`~repro.core.session.SimulationConfig.to_dict`) and/or the individual
-flags — ``--engine`` (incremental distance engine vs. exact from-scratch
-oracle), ``--schedule`` (sequential vs. batched proposal-caching
-activation), ``--workers`` (shared-memory worker processes for the batched
-evaluations), ``--backend``/``--endpoint`` (local shared-memory evaluation
-vs. remote worker servers), ``--batch-timeout``/``--max-retries`` (the
-remote fleet's hung-worker deadline and shard-retry budget) and ``--seed``
-— which override the file.  ``repro config
-dump`` prints the config the same flags resolve to, so a flag combination
-can be frozen into a reusable JSON file:
+:meth:`~repro.core.config.SimulationConfig.to_dict`) and/or the
+individual flags, which override the file.  The flags are generated from
+the config's field metadata — one flag per field, with the field's help
+text and choices — so ``--engine``, ``--schedule``, ``--workers``,
+``--backend``/``--endpoint``, ``--residual-encoding``,
+``--batch-timeout``/``--max-retries``, ``--checkpoint``, ``--failover``,
+``--auth-token`` and ``--seed`` behave identically on every command that
+exposes them.  ``repro config dump`` prints the config the same flags
+resolve to, so a flag combination can be frozen into a reusable JSON file:
 
 .. code-block:: console
 
@@ -57,6 +56,7 @@ quantities — engine, schedule and workers trade nothing but time (see
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -67,6 +67,8 @@ _VARIANTS = ["ncg", "one_two", "tree", "euclidean", "metric", "general"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core.config import DUMP, EXPERIMENT, RESUME
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Geometric Network Creation Games (SPAA 2019) reproduction toolkit",
@@ -87,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_poa.add_argument("--alpha", type=float, default=1.0)
     p_poa.add_argument("--instances", type=int, default=3)
     p_poa.add_argument("--samples", type=int, default=4)
-    _add_config_flags(p_poa)
+    _add_config_file_flag(p_poa)
+    _add_config_flags(p_poa, EXPERIMENT)
 
     p_dyn = sub.add_parser("dynamics", help="best-response dynamics convergence study")
     p_dyn.add_argument("--variant", default="euclidean", choices=_VARIANTS)
@@ -95,25 +98,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--alpha", type=float, default=1.0)
     p_dyn.add_argument("--instances", type=int, default=3)
     p_dyn.add_argument("--runs", type=int, default=3)
-    _add_config_flags(p_dyn)
+    _add_config_file_flag(p_dyn)
+    _add_config_flags(p_dyn, EXPERIMENT)
 
     p_sim = sub.add_parser("simulate", help="play one random instance end to end")
     p_sim.add_argument("--variant", default="euclidean", choices=_VARIANTS)
     p_sim.add_argument("--n", type=int, default=7)
     p_sim.add_argument("--alpha", type=float, default=1.5)
-    _add_config_flags(p_sim)
+    _add_config_file_flag(p_sim)
+    _add_config_flags(p_sim, EXPERIMENT)
 
     p_res = sub.add_parser(
         "resume",
         help="continue a checkpointed run from its checkpoint file "
         "(byte-identical to the uninterrupted run)",
+        description="Game, config, RNG and counters all travel in the "
+        "checkpoint.  The flags override only placement fields, which never "
+        "change a trajectory, and the continued checkpoint policy; unset "
+        "flags keep the checkpointed config's values.",
     )
     p_res.add_argument(
         "checkpoint_file",
         metavar="CHECKPOINT",
         help="checkpoint file written by a --checkpoint run",
     )
-    _add_resume_flags(p_res)
+    _add_config_flags(p_res, RESUME)
+    p_res.add_argument(
+        "--no-checkpoint",
+        action="store_true",
+        help="stop checkpointing the continuation entirely",
+    )
 
     p_cfg = sub.add_parser("config", help="inspect simulation configurations")
     cfg_sub = p_cfg.add_subparsers(dest="action", required=True)
@@ -122,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the resolved SimulationConfig as JSON "
         "(config file merged with explicit flags)",
     )
-    _add_config_flags(p_dump, full=True)
+    _add_config_file_flag(p_dump)
+    _add_config_flags(p_dump, EXPERIMENT, DUMP)
 
     p_worker = sub.add_parser(
         "worker", help="remote-evaluator worker servers (repro.core.remote)"
@@ -228,16 +243,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) -> None:
-    """The SimulationConfig surface shared by poa/dynamics/simulate/config-dump.
+def _add_config_flags(parser: argparse.ArgumentParser, *surfaces: str) -> None:
+    """One flag per SimulationConfig field whose knob lists any of ``surfaces``.
 
-    Flag defaults are ``None`` (= "not given"): resolution starts from the
-    ``--config`` file when present — the defaults of
-    :class:`repro.core.session.SimulationConfig` otherwise — and explicit
-    flags override it.  ``full`` additionally exposes the fields only
-    ``config dump`` needs to freeze (response kind, activation order,
-    budgets, repair threshold).
+    Flag spelling, help text, choices and type all come from the field's
+    :class:`repro.core.config.Knob`.  Defaults are ``None`` (= "not
+    given"): resolution starts from the ``--config`` file (experiment
+    commands) or the checkpointed config (``resume``) and explicit flags
+    override it.
     """
+    from .core.config import SimulationConfig
+
+    for field in dataclasses.fields(SimulationConfig):
+        knob = field.metadata["knob"]
+        if not set(surfaces) & set(knob.parsers):
+            continue
+        kwargs = {"dest": field.name, "default": None, "help": knob.help}
+        if knob.choices:
+            kwargs["choices"] = knob.choices
+        if knob.coerce in (int, float):
+            kwargs["type"] = knob.coerce
+        if knob.metavar is not None:
+            kwargs["metavar"] = knob.metavar
+        if isinstance(field.default, tuple):
+            kwargs["action"] = "append"
+        parser.add_argument(
+            knob.flag or "--" + field.name.replace("_", "-"), **kwargs
+        )
+
+
+def _add_config_file_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config",
         metavar="PATH",
@@ -246,351 +281,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, full: bool = False) ->
             "JSON file holding a SimulationConfig (the layout printed by "
             "'repro config dump'); explicit flags override its fields"
         ),
-    )
-    parser.add_argument(
-        "--engine",
-        default=None,
-        choices=["incremental", "exact"],
-        help=(
-            "distance engine for best-response dynamics: 'incremental' "
-            "(default) caches all-pairs distances, reuses residual matrices "
-            "across sweeps and updates distances in O(n^2) per move; 'exact' "
-            "recomputes shortest paths from scratch at every step (slow "
-            "cross-validation oracle — both engines play identical responses)"
-        ),
-    )
-    parser.add_argument(
-        "--schedule",
-        default=None,
-        choices=["sequential", "batched"],
-        help=(
-            "activation schedule for response dynamics: 'sequential' "
-            "(default) re-scores every agent at every activation; 'batched' "
-            "caches scored proposals and replays them at later activations, "
-            "re-scoring only agents whose residual rows an applied move "
-            "invalidated (identical trajectory, requires --engine "
-            "incremental)"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for batched proposal evaluation: 1 (default) "
-            "scores in-process, k > 1 fans each batch of proposals out to k "
-            "persistent workers over shared-memory distance snapshots — "
-            "bit-identical results for every worker count (requires "
-            "--engine incremental; pays off with --schedule batched).  "
-            "Sweeps share one worker pool per instance via GameSession"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["local", "remote"],
-        help=(
-            "evaluator backend for the batched evaluations: 'local' "
-            "(default) scores in-process or on a shared-memory worker pool "
-            "(--workers); 'remote' fans batches out over sockets to "
-            "'repro worker serve' processes listed via --endpoint — "
-            "bit-identical trajectories either way"
-        ),
-    )
-    parser.add_argument(
-        "--endpoint",
-        dest="endpoints",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "address of a running 'repro worker serve' process; repeat the "
-            "flag for multiple workers (requires --backend remote)"
-        ),
-    )
-    parser.add_argument(
-        "--residual-encoding",
-        dest="residual_encoding",
-        default=None,
-        choices=["dense", "delta"],
-        help=(
-            "how residual matrices reach the evaluation workers: 'dense' "
-            "(default) ships every distinct matrix verbatim; 'delta' ships "
-            "one dense base per chunk/shard plus packed changed-row deltas "
-            "against it — bit-identical trajectories, O(k*n) bytes per "
-            "localized move instead of O(n^2), the knob for n >= 1000"
-        ),
-    )
-    parser.add_argument(
-        "--batch-timeout",
-        dest="batch_timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-socket-operation inactivity deadline for remote batches: a "
-            "worker that produces no bytes for this long is dropped and its "
-            "shard re-dispatched to surviving endpoints (default 120; "
-            "requires --backend remote)"
-        ),
-    )
-    parser.add_argument(
-        "--max-retries",
-        dest="max_retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "shard re-dispatch rounds allowed per remote batch after "
-            "endpoint failures before the batch fails (default 2; requires "
-            "--backend remote)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint",
-        dest="checkpoint_path",
-        default=None,
-        metavar="PATH",
-        help=(
-            "serialize the run's complete state to PATH at round boundaries "
-            "(atomic write-then-rename; a {round} placeholder keeps one file "
-            "per boundary); continue a killed run with 'repro resume PATH' — "
-            "the continuation is byte-identical to the uninterrupted run"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        dest="checkpoint_every",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "checkpoint every K-th round boundary (default 1 when "
-            "--checkpoint is given; requires --checkpoint)"
-        ),
-    )
-    parser.add_argument(
-        "--failover",
-        default=None,
-        choices=["ladder", "strict"],
-        help=(
-            "policy for a batch that fails terminally on the configured "
-            "backend: 'ladder' (default) degrades remote -> local pool -> "
-            "serial with bit-identical results and promotes back once the "
-            "fleet recovers; 'strict' fails fast (after the emergency "
-            "checkpoint, when --checkpoint is set)"
-        ),
-    )
-    parser.add_argument(
-        "--auth-token",
-        dest="auth_token",
-        default=None,
-        metavar="SECRET",
-        help=(
-            "shared secret of the protocol-3 worker handshake; every "
-            "'repro worker serve' must run with the same token (requires "
-            "--backend remote)"
-        ),
-    )
-    _add_breaker_flags(parser)
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="root seed of the run (default: the config file's seed, else 0)",
-    )
-    if full:
-        parser.add_argument(
-            "--buffering",
-            default=None,
-            choices=["single", "double"],
-            help=(
-                "snapshot buffering of the local shared-memory pool: "
-                "'single' (default) or 'double' (overlap the next chunk's "
-                "snapshot writes with scoring; identical results)"
-            ),
-        )
-        parser.add_argument(
-            "--response", default=None, choices=["best", "greedy", "single"]
-        )
-        parser.add_argument(
-            "--order", default=None, choices=["round_robin", "random", "max_gain"]
-        )
-        parser.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
-        parser.add_argument(
-            "--max-candidates", dest="max_candidates", type=int, default=None
-        )
-        parser.add_argument(
-            "--repair-threshold",
-            dest="repair_threshold",
-            type=float,
-            default=None,
-        )
-
-
-def _add_breaker_flags(parser: argparse.ArgumentParser) -> None:
-    """The degradation ladder's circuit-breaker knobs (remote + ladder only).
-
-    Backoff timing schedules re-probes of dead endpoints; it can never
-    change a trajectory, so these are placement flags like ``--workers``.
-    """
-    parser.add_argument(
-        "--breaker-trip-after",
-        dest="breaker_trip_after",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "consecutive failures that trip an endpoint's circuit breaker "
-            "(default 1; requires --backend remote and --failover ladder)"
-        ),
-    )
-    parser.add_argument(
-        "--breaker-base-delay",
-        dest="breaker_base_delay",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "starting backoff before a tripped endpoint is re-probed; "
-            "doubles per failed probe (default 0.25; requires --backend "
-            "remote and --failover ladder)"
-        ),
-    )
-    parser.add_argument(
-        "--breaker-max-delay",
-        dest="breaker_max_delay",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "cap on the re-probe backoff (default 30; requires --backend "
-            "remote and --failover ladder)"
-        ),
-    )
-    parser.add_argument(
-        "--breaker-jitter",
-        dest="breaker_jitter",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help=(
-            "deterministic jitter factor applied to each backoff, drawn "
-            "from a config-seeded stream (default 0.1; requires --backend "
-            "remote and --failover ladder)"
-        ),
-    )
-
-
-_CONFIG_FIELDS = (
-    "engine",
-    "schedule",
-    "workers",
-    "seed",
-    "backend",
-    "endpoints",
-    "buffering",
-    "residual_encoding",
-    "batch_timeout",
-    "max_retries",
-    "checkpoint_every",
-    "checkpoint_path",
-    "failover",
-    "auth_token",
-    "breaker_trip_after",
-    "breaker_base_delay",
-    "breaker_max_delay",
-    "breaker_jitter",
-    "response",
-    "order",
-    "max_rounds",
-    "max_candidates",
-    "repair_threshold",
-)
-
-
-def _add_resume_flags(parser: argparse.ArgumentParser) -> None:
-    """The override surface of ``repro resume``.
-
-    A resume is configured by the checkpoint file itself — game, config,
-    RNG and counters all travel in it — so only *placement* fields (which
-    never change a trajectory) and the continued checkpoint policy are
-    exposed; trajectory-shaping fields are pinned by the checkpoint.
-    Defaults are ``None`` = "keep the checkpointed config's value".
-    """
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the continuation (placement only: the "
-        "trajectory is bit-identical for every worker count)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["local", "remote"],
-        help="evaluator backend for the continuation (bit-identical either way)",
-    )
-    parser.add_argument(
-        "--endpoint",
-        dest="endpoints",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help="remote worker address; repeat for multiple (requires --backend remote)",
-    )
-    parser.add_argument(
-        "--residual-encoding",
-        dest="residual_encoding",
-        default=None,
-        choices=["dense", "delta"],
-        help="residual transport encoding for the continuation (placement "
-        "only: dense and delta replay bit-identical trajectories)",
-    )
-    parser.add_argument(
-        "--batch-timeout", dest="batch_timeout", type=float, default=None,
-        metavar="SECONDS",
-        help="remote fleet inactivity deadline (requires --backend remote)",
-    )
-    parser.add_argument(
-        "--max-retries", dest="max_retries", type=int, default=None, metavar="N",
-        help="remote shard re-dispatch budget (requires --backend remote)",
-    )
-    parser.add_argument(
-        "--failover",
-        default=None,
-        choices=["ladder", "strict"],
-        help="failover policy for the continuation (placement only: the "
-        "ladder swaps backends, never trajectories)",
-    )
-    parser.add_argument(
-        "--auth-token",
-        dest="auth_token",
-        default=None,
-        metavar="SECRET",
-        help="shared secret of the worker handshake (requires --backend remote)",
-    )
-    _add_breaker_flags(parser)
-    parser.add_argument(
-        "--checkpoint",
-        dest="checkpoint_path",
-        default=None,
-        metavar="PATH",
-        help="keep checkpointing the continuation to PATH (default: the "
-        "checkpointed run's own policy, i.e. the same file keeps advancing)",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        dest="checkpoint_every",
-        type=int,
-        default=None,
-        metavar="K",
-        help="checkpoint the continuation every K-th round boundary",
-    )
-    parser.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        help="stop checkpointing the continuation entirely",
     )
 
 
@@ -607,7 +297,7 @@ def resolve_config(args: argparse.Namespace):
     combinations — callers inside :func:`main` turn that into
     ``parser.error``.
     """
-    from .core.session import SimulationConfig
+    from .core.config import KNOBS, SimulationConfig
 
     path = getattr(args, "config", None)
     if path is not None:
@@ -621,7 +311,7 @@ def resolve_config(args: argparse.Namespace):
     else:
         base = SimulationConfig()
     return SimulationConfig.merged(
-        base, **{field: getattr(args, field, None) for field in _CONFIG_FIELDS}
+        base, **{name: getattr(args, name, None) for name in KNOBS}
     )
 
 
@@ -742,6 +432,7 @@ def _report_degradation(session) -> None:
 
 def _cmd_resume(args) -> int:
     from .core.checkpoint import CheckpointError, load_checkpoint
+    from .core.config import KNOBS, RESUME
     from .core.session import resume_dynamics
 
     try:
@@ -750,24 +441,9 @@ def _cmd_resume(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     overrides = {
-        key: value
-        for key, value in {
-            "workers": args.workers,
-            "backend": args.backend,
-            "endpoints": args.endpoints,
-            "residual_encoding": args.residual_encoding,
-            "batch_timeout": args.batch_timeout,
-            "max_retries": args.max_retries,
-            "failover": args.failover,
-            "auth_token": args.auth_token,
-            "breaker_trip_after": args.breaker_trip_after,
-            "breaker_base_delay": args.breaker_base_delay,
-            "breaker_max_delay": args.breaker_max_delay,
-            "breaker_jitter": args.breaker_jitter,
-            "checkpoint_path": args.checkpoint_path,
-            "checkpoint_every": args.checkpoint_every,
-        }.items()
-        if value is not None
+        name: getattr(args, name)
+        for name, knob in KNOBS.items()
+        if RESUME in knob.parsers and getattr(args, name) is not None
     }
     if args.no_checkpoint:
         overrides["checkpoint_path"] = None

@@ -68,7 +68,6 @@ which never changes a trajectory), :func:`repro.core.session.resume_dynamics`
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import os
 import struct
@@ -76,17 +75,15 @@ import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any
+from typing import IO, Any
 
 import numpy as np
 
 from .best_response import BestResponseResult
+from .config import TRAJECTORY_FIELDS, SimulationConfig
 from .game import NetworkCreationGame
 from .host_graph import HostGraph
 from .strategy import StrategyProfile
-
-if TYPE_CHECKING:  # import cycle: session serializes through this module
-    from .session import SimulationConfig
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -105,18 +102,16 @@ CHECKPOINT_MAGIC = b"REPROCKP"
 CHECKPOINT_VERSION = 1
 _SCHEMA = "repro-gncg-checkpoint"
 
-# Config fields that shape the *trajectory or stats* of a run.  A resume may
-# change anything else (backend, workers, endpoints, buffering, fleet
-# timeouts, checkpoint policy) — those trade nothing but time and placement —
-# but never these: the continuation would no longer be the same run.
-TRAJECTORY_FIELDS = (
-    "engine",
-    "schedule",
-    "response",
-    "order",
-    "max_rounds",
-    "max_candidates",
-    "repair_threshold",
+# Placement-only config keys that checkpoints written before their removal
+# still carry.  They never shaped a trajectory, so a resume drops them.
+_RETIRED_CONFIG_KEYS = frozenset(
+    {
+        "buffering",
+        "breaker_trip_after",
+        "breaker_base_delay",
+        "breaker_max_delay",
+        "breaker_jitter",
+    }
 )
 
 
@@ -219,11 +214,11 @@ class Checkpoint:
         """The strategy profile at the checkpointed round boundary."""
         return StrategyProfile(self.ownership, copy=True, validate=False)
 
-    def simulation_config(self) -> "SimulationConfig":
-        """The (resolved) :class:`~repro.core.session.SimulationConfig` of the run."""
-        from .session import SimulationConfig
-
-        return SimulationConfig.from_dict(self.config)
+    def simulation_config(self) -> SimulationConfig:
+        """The (resolved) :class:`~repro.core.config.SimulationConfig` of the run."""
+        return SimulationConfig.from_dict(
+            {k: v for k, v in self.config.items() if k not in _RETIRED_CONFIG_KEYS}
+        )
 
     def seen(self) -> dict[bytes, int]:
         """The cycle-detection table: canonical profile key -> move count."""

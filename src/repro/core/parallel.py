@@ -23,12 +23,11 @@ which that fan-out is pluggable, plus the shared-memory implementation:
     :mod:`multiprocessing.shared_memory` segments are used: a *static*
     segment holding the host-graph weight matrix (written once, valid for
     the lifetime of the pool because host weights never change during a
-    dynamics run) and a *slot* segment holding the residual distance
-    matrices of the in-flight batch — ``slots`` matrices per *bank*, with
-    one bank under ``buffering="single"`` and two under
-    ``buffering="double"``.  Workers attach by name at pool start-up and
-    build zero-copy NumPy views; per task only a slot index, an agent id
-    and a (tiny) strategy tuple cross the process boundary.
+    dynamics run) and a *slot* segment holding the ``slots`` residual
+    distance matrices of the in-flight chunk.  Workers attach by name at
+    pool start-up and build zero-copy NumPy views; per task only a slot
+    index, an agent id and a (tiny) strategy tuple cross the process
+    boundary.
 
 ``ParallelEvaluator``
     The persistent worker pool.  It is created *lazily* on the first
@@ -39,30 +38,25 @@ which that fan-out is pluggable, plus the shared-memory implementation:
     residual matrix into a free slot (matrices shared by several agents —
     e.g. the network distances of agents owning no solely-owned edges — are
     written once), dispatches one task per agent and gathers results in
-    submission order.  With ``buffering="double"`` the snapshot writes of
-    the *next* chunk overlap the workers still scoring the current one
-    (the ROADMAP "slot pressure" item): chunks alternate between two slot
-    banks and at most one chunk per bank is in flight, so no slot is ever
-    rewritten under a pending task.
+    submission order.  A batch referencing more distinct matrices than
+    there are slots is dispatched in chunks, each gathered before the next
+    one is written, so no slot is ever rewritten under a pending task.
 
 Determinism is the design constraint, not an afterthought: workers execute
 :func:`repro.core.best_response.score_response` — the exact same pure
 kernel the serial engine runs — against bit-identical matrix copies, and
 results are collected in submission order, so a parallel evaluation is
-indistinguishable from the serial one for every worker count *and* either
-buffering mode (the property tests in ``tests/test_parallel_evaluator.py``
-assert bit-identical trajectories for ``workers in {1, 2, 4}`` times
-``buffering in {"single", "double"}``).
+indistinguishable from the serial one for every worker count (the property
+tests in ``tests/test_parallel_evaluator.py`` assert bit-identical
+trajectories for ``workers in {1, 2, 4}``).
 
 Snapshot invariants:
 
 * the weights segment is written once, before the first task is dispatched,
   and never mutated while the pool lives;
 * a slot is only rewritten after every task of the chunk that referenced it
-  has been gathered (dispatch is chunked at ``slots`` distinct matrices per
-  bank; single buffering gathers a chunk before writing the next, double
-  buffering writes the next chunk into the *other* bank and gathers a
-  bank's chunk before that bank is reused);
+  has been gathered (dispatch is chunked at ``slots`` distinct matrices and
+  each chunk is gathered before the next one is written);
 * matrices are C-contiguous ``float64`` — the copy into the slot is an
   exact bitwise copy, so worker-side arithmetic sees the same numbers.
 
@@ -84,7 +78,6 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -119,7 +112,6 @@ __all__ = [
 ]
 
 _DEFAULT_SLOTS = 16
-_BUFFERING_MODES = ("single", "double")
 RESIDUAL_ENCODINGS = ("dense", "delta")
 
 
@@ -404,9 +396,11 @@ def _init_worker(meta: dict[str, Any], alpha: float) -> None:
     _WORKER_STATE["alpha"] = float(alpha)
 
 
-def _score_task(
-    task: tuple[int, int, "tuple[int, int] | None", Sequence[int], str, int]
-) -> BestResponseResult:
+# (agent, slot, delta spec, strategy, response kind, max_candidates)
+_ScoreTask = tuple[int, int, "tuple[int, int] | None", Sequence[int], str, int]
+
+
+def _score_task(task: _ScoreTask) -> BestResponseResult:
     """Score one agent against a slot of the shared snapshot.
 
     ``spec`` selects the slot's interpretation: ``None`` means the slot
@@ -453,17 +447,9 @@ class ParallelEvaluator:
         process.  ``workers=1`` is allowed but callers normally keep the
         serial path for it (see ``IncrementalEngine.respond_many``).
     slots:
-        Residual-matrix slots per bank of the shared snapshot; a batch
-        referencing more *distinct* matrices than this is dispatched in
-        chunks (slots are only rewritten after every task reading them has
-        returned).
-    buffering:
-        ``"single"`` (default) gathers each chunk before writing the next
-        one's matrices; ``"double"`` allocates a second slot bank and
-        writes the next chunk's snapshot while the workers are still
-        scoring the current one, keeping at most one chunk per bank in
-        flight.  Results are bit-identical either way — buffering trades
-        nothing but memory (one extra slot bank) for overlap.
+        Residual-matrix slots of the shared snapshot; a batch referencing
+        more *distinct* matrices than this is dispatched in chunks, each
+        gathered before the next one's matrices are written.
     residual_encoding:
         ``"dense"`` (default) writes every distinct residual matrix into
         its slot verbatim; ``"delta"`` writes the first distinct matrix of
@@ -492,7 +478,7 @@ class ParallelEvaluator:
     """
 
     __slots__ = (
-        "_weights", "_alpha", "_workers", "_slots", "_banks", "_start_method",
+        "_weights", "_alpha", "_workers", "_slots", "_start_method",
         "_encoding", "_snapshot", "_pool", "pools_started", "_batches",
         "_tasks", "_bytes_sent", "_failures", "_retries", "fault_hook",
     )
@@ -504,7 +490,6 @@ class ParallelEvaluator:
         *,
         workers: int | None = None,
         slots: int = _DEFAULT_SLOTS,
-        buffering: str = "single",
         residual_encoding: str = "dense",
         start_method: str | None = None,
     ) -> None:
@@ -515,17 +500,12 @@ class ParallelEvaluator:
             raise ValueError("workers must be >= 1")
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        if buffering not in _BUFFERING_MODES:
-            raise ValueError(
-                f"unknown buffering {buffering!r} (expected one of {_BUFFERING_MODES})"
-            )
         if residual_encoding not in RESIDUAL_ENCODINGS:
             raise ValueError(
                 f"unknown residual_encoding {residual_encoding!r} "
                 f"(expected one of {RESIDUAL_ENCODINGS})"
             )
         self._slots = int(slots)
-        self._banks = 2 if buffering == "double" else 1
         self._encoding = residual_encoding
         self._start_method = start_method
         self._snapshot: SharedSnapshot | None = None
@@ -555,11 +535,6 @@ class ParallelEvaluator:
     def is_running(self) -> bool:
         """True while the worker pool (and its shared memory) is alive."""
         return self._pool is not None
-
-    @property
-    def buffering(self) -> str:
-        """``"single"`` or ``"double"`` snapshot buffering (see the class docs)."""
-        return "double" if self._banks == 2 else "single"
 
     @property
     def residual_encoding(self) -> str:
@@ -608,7 +583,7 @@ class ParallelEvaluator:
     def _ensure_pool(self) -> None:
         if self._pool is not None:
             return
-        self._snapshot = SharedSnapshot.create(self._weights, self._slots * self._banks)
+        self._snapshot = SharedSnapshot.create(self._weights, self._slots)
         self._pool = self._new_executor()
         self.pools_started += 1
         atexit.register(self.close)
@@ -657,20 +632,17 @@ class ParallelEvaluator:
         Each distinct residual matrix (by object identity — agents sharing
         a matrix share a slot) is copied into shared memory exactly once
         per chunk; results come back in submission order, so the output is
-        deterministic regardless of worker scheduling.  Under
-        ``buffering="double"`` consecutive chunks go to alternating slot
-        banks and one chunk may stay in flight while the next one's
-        matrices are written — a bank is always fully gathered before it
-        is written again.
+        deterministic regardless of worker scheduling.  Each chunk is
+        gathered before the next one's matrices are written.
 
         A pool worker dying mid-batch (SIGKILL, segfault, OOM kill) breaks
         the whole executor: every pending future raises
-        ``BrokenProcessPool``.  The slots referenced by the in-flight
-        chunks are still intact (a slot is only rewritten after its chunk
-        has been gathered), so the pool is rebuilt **once per call** and
-        every in-flight chunk is resubmitted in order — tasks are pure, so
-        the re-scored results are bit-identical.  A second break in the
-        same call raises :class:`PoolBrokenError`.
+        ``BrokenProcessPool``.  The slots referenced by the in-flight chunk
+        are still intact (a slot is only rewritten after its chunk has been
+        gathered), so the pool is rebuilt **once per call** and the chunk
+        is resubmitted — tasks are pure, so the re-scored results are
+        bit-identical.  A second break in the same call raises
+        :class:`PoolBrokenError`.
         """
         task_list = list(tasks)
         if not task_list:
@@ -682,61 +654,41 @@ class ParallelEvaluator:
         self._batches += 1
         self._tasks += len(task_list)
         results: list[BestResponseResult] = []
-        in_flight: deque[tuple[list[tuple], list]] = deque()
         rebuilt = False
 
-        def recover(exc: BaseException) -> None:
+        def score(chunk: list[_ScoreTask]) -> list[BestResponseResult]:
             nonlocal rebuilt
-            if rebuilt:
-                raise PoolBrokenError(
-                    "worker pool broke twice in one batch "
-                    f"({type(exc).__name__}: {exc})"
-                ) from exc
-            rebuilt = True
-            self._failures += 1
-            self._retries += 1
-            self._rebuild_pool()
-            try:
-                for index, (chunk, _dead) in enumerate(in_flight):
-                    in_flight[index] = (
-                        chunk,
-                        [self._pool.submit(_score_task, task) for task in chunk],
-                    )
-            except BrokenProcessPool as exc2:
-                raise PoolBrokenError(
-                    "worker pool broke twice in one batch "
-                    f"({type(exc2).__name__}: {exc2})"
-                ) from exc2
-
-        def gather_oldest() -> None:
             while True:
-                chunk, chunk_futures = in_flight[0]
+                assert self._pool is not None
                 try:
-                    gathered = [future.result() for future in chunk_futures]
+                    futures = [self._pool.submit(_score_task, task) for task in chunk]
+                    return [future.result() for future in futures]
                 except BrokenProcessPool as exc:
-                    recover(exc)  # raises PoolBrokenError on the second break
-                    continue
-                in_flight.popleft()
-                results.extend(gathered)
-                return
+                    if rebuilt:
+                        raise PoolBrokenError(
+                            "worker pool broke twice in one batch "
+                            f"({type(exc).__name__}: {exc})"
+                        ) from exc
+                    rebuilt = True
+                    self._failures += 1
+                    self._retries += 1
+                    self._rebuild_pool()
 
         slot_capacity = self._snapshot.n * self._snapshot.n * 8
         pos = 0
-        bank = 0
         while pos < len(task_list):
-            bank_base = bank * self._slots
             slot_of: dict[int, int] = {}
             spec_of: dict[int, tuple[int, int] | None] = {}
             chunk_base: tuple[int, np.ndarray] | None = None
-            chunk: list[tuple] = []
+            chunk: list[_ScoreTask] = []
             while pos < len(task_list):
                 u, d_rest, strategy = task_list[pos]
                 key = id(d_rest)
                 slot = slot_of.get(key)
                 if slot is None:
                     if len(slot_of) >= self._slots:
-                        break  # chunk full: the bank has no free slot left
-                    slot = bank_base + len(slot_of)
+                        break  # chunk full: no free slot left
+                    slot = len(slot_of)
                     slot_of[key] = slot
                     spec: tuple[int, int] | None = None
                     if self._encoding == "delta" and chunk_base is not None:
@@ -766,19 +718,5 @@ class ParallelEvaluator:
                     )
                 )
                 pos += 1
-            while True:
-                try:
-                    chunk_futures = [
-                        self._pool.submit(_score_task, task) for task in chunk
-                    ]
-                except BrokenProcessPool as exc:
-                    recover(exc)
-                    continue
-                break
-            in_flight.append((chunk, chunk_futures))
-            if len(in_flight) >= self._banks:
-                gather_oldest()
-            bank = (bank + 1) % self._banks
-        while in_flight:
-            gather_oldest()
+            results.extend(score(chunk))
         return results

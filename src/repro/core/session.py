@@ -10,18 +10,11 @@ worker pool.  For sweeps that run dynamics dozens of times on one instance
 ``n``.  This module gives the simulation surface one composable home:
 
 ``SimulationConfig``
-    A frozen dataclass bundling every knob of a dynamics run — distance
-    ``engine``, activation ``schedule``, ``workers``, ``repair_threshold``,
-    ``response`` kind, activation ``order``, ``max_rounds``,
-    ``max_candidates`` and the ``seed`` policy.  It validates the same
-    cross-field rules the old keyword plumbing enforced (``__post_init__``),
-    supports functional update (:meth:`SimulationConfig.replace`) and
-    round-trips through plain dicts (:meth:`SimulationConfig.to_dict` /
-    :meth:`SimulationConfig.from_dict`) so the CLI can load it from JSON.
-    The seed policy lives here too: :meth:`SimulationConfig.rng` derives the
-    default per-run generator and :meth:`SimulationConfig.spawn_seeds`
-    derives independent child seeds (:class:`numpy.random.SeedSequence`),
-    so every entry point draws randomness the same way.
+    The frozen, validated bundle of every knob of a dynamics run — distance
+    ``engine``, activation ``schedule``, ``workers``, ``response`` kind,
+    ``order``, budgets, backend placement and the ``seed`` policy.  It is
+    declared in :mod:`repro.core.config` (each field once, with the
+    metadata every other layer derives from) and re-exported here.
 
 ``GameSession``
     A context manager scoped to ``(game, config)`` that lazily builds and
@@ -72,12 +65,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import (
-    TRAJECTORY_FIELDS,
-    Checkpoint,
-    load_checkpoint,
-    rng_from_state,
-)
+from .checkpoint import Checkpoint, load_checkpoint, rng_from_state
+from .config import KNOBS, TRAJECTORY_FIELDS, SimulationConfig, spawn_seeds
 from .dynamics import (
     _TOL,
     DynamicsResult,
@@ -133,35 +122,11 @@ def check_session_call(
             "and caches are bound to the game it was opened on"
         )
 
-_ENGINES = ("exact", "incremental")
-_SCHEDULES = ("sequential", "batched")
-_RESPONSES = ("best", "greedy", "single")
-_ORDERS = ("round_robin", "random", "max_gain")
-_BACKENDS = ("local", "remote")
-_BUFFERINGS = ("single", "double")
-_RESIDUAL_ENCODINGS = ("dense", "delta")
-_FAILOVERS = ("ladder", "strict")
 
 # Config fields a session cannot change per run: they shape the owned
 # engine and worker pool, so changing them needs a fresh session.  A
 # per-run "override" that equals the session's value is accepted (no-op).
-_SESSION_SCOPED = (
-    "engine",
-    "workers",
-    "repair_threshold",
-    "backend",
-    "endpoints",
-    "buffering",
-    "residual_encoding",
-    "batch_timeout",
-    "max_retries",
-    "failover",
-    "auth_token",
-    "breaker_trip_after",
-    "breaker_base_delay",
-    "breaker_max_delay",
-    "breaker_jitter",
-)
+_SESSION_SCOPED = tuple(name for name, knob in KNOBS.items() if knob.session)
 
 # Entry-point round budgets applied when ``max_rounds`` is None ("not
 # configured"): plain dynamics runs keep run_dynamics' historical 100,
@@ -170,421 +135,6 @@ _SESSION_SCOPED = (
 # their own historical budgets, 40 and 60, against the same None.)
 MAX_ROUNDS_RUN = 100
 MAX_ROUNDS_SAMPLING = 60
-
-
-def spawn_seeds(seed: int, count: int) -> list[int]:
-    """Derive ``count`` independent child seeds from one root seed.
-
-    Uses :meth:`numpy.random.SeedSequence.spawn`, whose children carry
-    NumPy's documented statistical-independence guarantee (ad-hoc
-    ``seed + i`` derivation offers no such guarantee, and collides outright
-    when two sweeps use overlapping base-seed ranges).  Each child is
-    rendered as a full 128-bit integer — not a truncated word, which would
-    reintroduce birthday-bound collisions across large sweeps — and
-    ``numpy.random.default_rng`` consumes integers of any size, so the
-    guarantee survives the round-trip.  Each child is a pure function of
-    ``(seed, index)``, so a parallel sweep seeded this way is reproducible
-    regardless of how its tasks are scheduled across processes.
-    """
-    parent = np.random.SeedSequence(int(seed))
-    return [
-        int.from_bytes(child.generate_state(4, dtype=np.uint32).tobytes(), "little")
-        for child in parent.spawn(int(count))
-    ]
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Every knob of a dynamics run, validated and serializable.
-
-    Field defaults equal the historical defaults of
-    :func:`repro.core.dynamics.run_dynamics`, so ``SimulationConfig()``
-    reproduces a bare ``run_dynamics(game, initial)`` call exactly.
-
-    ``order`` is one of the named activation orders (``"round_robin"``,
-    ``"random"``, ``"max_gain"``) or an explicit activation sequence, which
-    is normalized to a tuple of ints so configs stay hashable and
-    equality-comparable.  ``max_rounds=None`` (the default) means "the
-    entry point's historical budget" — 100 for a plain dynamics run, 60
-    for equilibrium sampling, 40 for the convergence study — so one config
-    serves every entry point without silently changing any budget; set an
-    integer to pin the budget everywhere the config is used.  ``seed`` is
-    the root of the config's seed policy:
-    :meth:`rng` builds the default per-run generator from it and
-    :meth:`spawn_seeds` derives independent child seeds for sweep cells;
-    ``seed=None`` means "the fixed default stream" (seed 0 — never OS
-    entropy, so two equal configs always replay identical trajectories).
-
-    ``backend`` selects the batch-evaluator implementation: ``"local"``
-    (default) scores in-process, or — with ``workers > 1`` — on a
-    shared-memory worker pool whose snapshot ``buffering`` is ``"single"``
-    or ``"double"`` (double-buffered slot banks overlap snapshot writes
-    with scoring); ``"remote"`` scores on ``endpoints`` — ``"host:port"``
-    addresses of running ``repro worker serve`` processes — over sockets.
-    All backends replay bit-identical trajectories; they trade nothing but
-    time and placement.
-
-    ``residual_encoding`` selects how residual matrices reach the workers:
-    ``"dense"`` (default) ships every distinct matrix verbatim, while
-    ``"delta"`` ships the first distinct matrix of each chunk/shard dense
-    and every later one as a packed delta of its changed rows against that
-    base (:mod:`repro.core.residual_delta`), falling back to dense
-    whenever the delta would not be smaller.  Workers relax from ``base +
-    changed rows`` without materializing dense copies, so trajectories
-    and stats stay bit-identical to ``"dense"`` while localized dynamics
-    move O(k·n) bytes per matrix instead of O(n²) — the knob that unlocks
-    n ≥ 1000.  It shapes both the shared-memory slot banks and the
-    protocol-4 wire frames; the in-process serial path has no transport
-    and ignores it.
-
-    ``checkpoint_every``/``checkpoint_path`` set the run's checkpoint
-    policy (see :mod:`repro.core.checkpoint`): every
-    ``checkpoint_every``-th round boundary the complete loop/engine/cache
-    state is atomically serialized to ``checkpoint_path`` — a ``{round}``
-    placeholder in the path keeps one file per boundary, otherwise the file
-    always holds the latest boundary.  ``checkpoint_path`` alone implies
-    ``checkpoint_every=1``; ``checkpoint_every`` without a path is an
-    error.  A checkpointed run resumed via :meth:`GameSession.resume`,
-    :func:`resume_dynamics` or ``repro resume`` continues byte-identically
-    — trajectories, converged costs and stats — even in a fresh process and
-    even onto a different backend or worker count, and honors the
-    *remaining* round budget, never a restarted one.
-
-    ``batch_timeout`` and ``max_retries`` tune the remote fleet's failure
-    handling (see :class:`~repro.core.remote.RemoteEvaluator`):
-    ``batch_timeout`` is the per-socket-operation inactivity deadline in
-    seconds that turns a hung worker into a recoverable endpoint failure,
-    and ``max_retries`` bounds the shard re-dispatch rounds per batch after
-    mid-batch endpoint failures.  Both default to ``None`` — "the backend's
-    default" (120 s and 2) — and are only meaningful with
-    ``backend="remote"``.  Because failed shards re-run the same pure tasks
-    and results are gathered in submission order, retries never change a
-    trajectory — only whether the sweep survives a dying worker.
-
-    ``failover`` sets the policy for a batch that fails *terminally* on
-    the configured backend (every endpoint dead and retries exhausted, or
-    the local pool broken beyond its one rebuild): ``"ladder"`` (default)
-    wraps the backend in the session's degradation ladder — remote →
-    local shared-memory pool → in-process serial — which finishes the
-    batch on the next rung and keeps going (scoring tasks are pure and
-    gathered in submission order, so the trajectory is bit-identical on
-    every rung), re-probing dead endpoints on the circuit breaker's
-    capped exponential backoff and promoting back up at a batch boundary
-    once a probe succeeds; ``"strict"`` preserves the fail-fast behavior —
-    the terminal failure propagates (after the emergency checkpoint, when
-    checkpointing is configured).  ``auth_token`` arms the protocol-3
-    shared-secret handshake against the worker fleet (each worker must run
-    with the same ``--auth-token``); it is remote-only and, note, stored
-    in plaintext by ``to_dict`` — i.e. in config files and checkpoints.
-
-    ``breaker_trip_after``/``breaker_base_delay``/``breaker_max_delay``/
-    ``breaker_jitter`` pin the degradation ladder's circuit breaker (see
-    :class:`~repro.core.remote.BreakerPolicy`): how many consecutive
-    failures trip an endpoint, the starting/capped backoff delay of its
-    re-probes, and the deterministic jitter factor applied on top.  Each
-    defaults to ``None`` — "the policy's default" (1 / 0.25 s / 30 s /
-    0.1) — and they require ``backend="remote"`` with
-    ``failover="ladder"`` (``"strict"`` deliberately runs without a
-    breaker, preserving fail-fast re-attempts).  Backoff timing only
-    schedules *probes of dead endpoints*; tasks are pure and gathered in
-    submission order, so no breaker setting can change a trajectory.
-    """
-
-    engine: str = "incremental"
-    schedule: str = "sequential"
-    workers: int = 1
-    repair_threshold: float = 0.5
-    response: str = "best"
-    order: str | tuple[int, ...] = "round_robin"
-    max_rounds: int | None = None
-    max_candidates: int = 22
-    seed: int | None = 0
-    backend: str = "local"
-    endpoints: tuple[str, ...] = ()
-    buffering: str = "single"
-    residual_encoding: str = "dense"
-    batch_timeout: float | None = None
-    max_retries: int | None = None
-    checkpoint_every: int | None = None
-    checkpoint_path: str | None = None
-    failover: str = "ladder"
-    auth_token: str | None = None
-    breaker_trip_after: int | None = None
-    breaker_base_delay: float | None = None
-    breaker_max_delay: float | None = None
-    breaker_jitter: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.engine not in _ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}")
-        if self.schedule not in _SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.response not in _RESPONSES:
-            raise ValueError(f"unknown response kind {self.response!r}")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.buffering not in _BUFFERINGS:
-            raise ValueError(f"unknown buffering {self.buffering!r}")
-        if self.residual_encoding not in _RESIDUAL_ENCODINGS:
-            raise ValueError(
-                f"unknown residual_encoding {self.residual_encoding!r}"
-            )
-        if self.failover not in _FAILOVERS:
-            raise ValueError(f"unknown failover policy {self.failover!r}")
-        # Coercion failures (e.g. {"workers": null} or {"order": 5} in a JSON
-        # config file) must surface as ValueError — the error type callers
-        # like the CLI catch — never as a raw TypeError traceback.
-        try:
-            if isinstance(self.order, str):
-                if self.order not in _ORDERS:
-                    raise ValueError(f"unknown order {self.order!r}")
-            else:
-                object.__setattr__(self, "order", tuple(int(a) for a in self.order))
-            object.__setattr__(self, "workers", int(self.workers))
-            object.__setattr__(self, "repair_threshold", float(self.repair_threshold))
-            if self.max_rounds is not None:
-                object.__setattr__(self, "max_rounds", int(self.max_rounds))
-            object.__setattr__(self, "max_candidates", int(self.max_candidates))
-            if self.seed is not None:
-                object.__setattr__(self, "seed", int(self.seed))
-            if self.batch_timeout is not None:
-                object.__setattr__(self, "batch_timeout", float(self.batch_timeout))
-            if self.max_retries is not None:
-                object.__setattr__(self, "max_retries", int(self.max_retries))
-            if self.auth_token is not None:
-                object.__setattr__(self, "auth_token", str(self.auth_token))
-            if self.breaker_trip_after is not None:
-                object.__setattr__(
-                    self, "breaker_trip_after", int(self.breaker_trip_after)
-                )
-            if self.breaker_base_delay is not None:
-                object.__setattr__(
-                    self, "breaker_base_delay", float(self.breaker_base_delay)
-                )
-            if self.breaker_max_delay is not None:
-                object.__setattr__(
-                    self, "breaker_max_delay", float(self.breaker_max_delay)
-                )
-            if self.breaker_jitter is not None:
-                object.__setattr__(
-                    self, "breaker_jitter", float(self.breaker_jitter)
-                )
-            if self.checkpoint_every is not None:
-                object.__setattr__(self, "checkpoint_every", int(self.checkpoint_every))
-            if self.checkpoint_path is not None:
-                object.__setattr__(
-                    self, "checkpoint_path", str(os.fspath(self.checkpoint_path))
-                )
-            endpoints = self.endpoints
-            if isinstance(endpoints, str):  # a lone "host:port" is accepted
-                endpoints = (endpoints,)
-            object.__setattr__(
-                self, "endpoints", tuple(str(e) for e in endpoints)
-            )
-        except TypeError as exc:
-            raise ValueError(f"invalid SimulationConfig field value: {exc}") from exc
-        from .remote import parse_endpoint
-
-        for endpoint in self.endpoints:
-            parse_endpoint(endpoint)  # ValueError on anything but host:port
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.repair_threshold < 0:
-            raise ValueError("repair_threshold must be non-negative")
-        if self.max_rounds is not None and self.max_rounds < 0:
-            raise ValueError("max_rounds must be non-negative")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
-        if self.workers > 1 and self.engine != "incremental":
-            raise ValueError(
-                "workers > 1 requires engine='incremental': the exact oracle "
-                "recomputes from scratch per agent and has no shared snapshot "
-                "to evaluate against"
-            )
-        if self.backend == "remote":
-            if not self.endpoints:
-                raise ValueError(
-                    "backend='remote' requires endpoints: list the "
-                    "'host:port' addresses of running 'repro worker serve' "
-                    "processes"
-                )
-            if self.engine != "incremental":
-                raise ValueError(
-                    "backend='remote' requires engine='incremental': only "
-                    "the incremental engine produces the residual snapshots "
-                    "the workers score against"
-                )
-            if self.workers != 1:
-                raise ValueError(
-                    "backend='remote' fans out to the endpoint workers; "
-                    "'workers' sizes the local shared-memory pool and must "
-                    "stay 1 under the remote backend"
-                )
-            if self.buffering != "single":
-                raise ValueError(
-                    "buffering='double' banks the local shared-memory "
-                    "snapshot slots and does not apply to backend='remote'"
-                )
-        elif self.endpoints:
-            raise ValueError(
-                "endpoints are only meaningful with backend='remote'"
-            )
-        if self.batch_timeout is not None and self.batch_timeout <= 0:
-            raise ValueError(
-                "batch_timeout must be positive: it is the per-socket-"
-                "operation inactivity deadline in seconds"
-            )
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.backend != "remote" and (
-            self.batch_timeout is not None or self.max_retries is not None
-        ):
-            raise ValueError(
-                "batch_timeout/max_retries tune the remote fleet's failure "
-                "handling and are only meaningful with backend='remote'"
-            )
-        if self.backend != "remote" and self.auth_token is not None:
-            raise ValueError(
-                "auth_token arms the remote handshake and is only "
-                "meaningful with backend='remote'"
-            )
-        if self.breaker_overrides():
-            if self.backend != "remote" or self.failover != "ladder":
-                raise ValueError(
-                    "breaker_* fields tune the degradation ladder's circuit "
-                    "breaker and are only meaningful with backend='remote' "
-                    "and failover='ladder' (strict mode deliberately runs "
-                    "without a breaker)"
-                )
-            # Range and cross-field validation (trip_after >= 1,
-            # 0 < base_delay <= max_delay, jitter >= 0) lives in one
-            # place: the policy's own constructor.
-            from .remote import BreakerPolicy
-
-            BreakerPolicy(seed=0, **self.breaker_overrides())
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if self.checkpoint_every is not None and self.checkpoint_path is None:
-            raise ValueError(
-                "checkpoint_every without checkpoint_path: there is nowhere "
-                "to write the checkpoints"
-            )
-        if self.checkpoint_path is not None and self.checkpoint_every is None:
-            # A path alone means "checkpoint every round boundary".
-            object.__setattr__(self, "checkpoint_every", 1)
-        if self.schedule == "batched":
-            if self.engine != "incremental":
-                raise ValueError(
-                    "schedule='batched' requires engine='incremental': the "
-                    "exact oracle keeps no residual matrices to re-validate "
-                    "proposals against"
-                )
-            if self.order == "max_gain":
-                raise ValueError(
-                    "schedule='batched' does not support order='max_gain' "
-                    "(max-gain activation already re-scores every agent per step)"
-                )
-
-    # ------------------------------------------------------------------
-    # Functional update and serialization
-    # ------------------------------------------------------------------
-    @classmethod
-    def merged(
-        cls,
-        config: "SimulationConfig | None",
-        **overrides: Any,
-    ) -> "SimulationConfig":
-        """The one override-merge policy of every legacy entry point.
-
-        ``config`` (field defaults when ``None``) is updated with the
-        ``overrides`` whose value is not ``None`` — ``None`` means "not
-        given", so explicitly passed keywords always win.
-        """
-        cfg = config if config is not None else cls()
-        return cfg.replace(
-            **{key: value for key, value in overrides.items() if value is not None}
-        )
-
-    def replace(self, **changes: Any) -> "SimulationConfig":
-        """A new validated config with ``changes`` applied (the original is untouched)."""
-        if not changes:
-            return self
-        unknown = set(changes) - {f.name for f in dataclasses.fields(self)}
-        if unknown:
-            raise ValueError(
-                f"unknown SimulationConfig field(s): {sorted(unknown)}"
-            )
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON-safe dict; inverse of :meth:`from_dict`."""
-        data = dataclasses.asdict(self)
-        if not isinstance(self.order, str):
-            data["order"] = list(self.order)
-        data["endpoints"] = list(self.endpoints)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SimulationConfig":
-        """Build a validated config from a dict (e.g. parsed from JSON).
-
-        Unknown keys are rejected so a typo in a config file fails loudly
-        instead of silently falling back to a default.
-        """
-        if not isinstance(data, Mapping):
-            raise ValueError(
-                f"config must be a mapping of field names, got {type(data).__name__}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown SimulationConfig field(s): {sorted(unknown)}")
-        return cls(**dict(data))
-
-    def resolved_max_rounds(self, default: int) -> int:
-        """The effective round budget: the entry point's ``default`` when unset."""
-        return default if self.max_rounds is None else self.max_rounds
-
-    # ------------------------------------------------------------------
-    # Seed policy
-    # ------------------------------------------------------------------
-    def root_seed(self) -> int:
-        """The effective root seed: ``seed``, with ``None`` meaning the fixed stream 0."""
-        return 0 if self.seed is None else self.seed
-
-    def rng(self) -> np.random.Generator:
-        """The config's default per-run generator (fixed seed, never OS entropy)."""
-        return np.random.default_rng(self.root_seed())
-
-    # ------------------------------------------------------------------
-    # Failover breaker policy
-    # ------------------------------------------------------------------
-    def breaker_overrides(self) -> dict[str, Any]:
-        """The breaker fields this config explicitly pins (``None`` = default)."""
-        overrides: dict[str, Any] = {}
-        if self.breaker_trip_after is not None:
-            overrides["trip_after"] = self.breaker_trip_after
-        if self.breaker_base_delay is not None:
-            overrides["base_delay"] = self.breaker_base_delay
-        if self.breaker_max_delay is not None:
-            overrides["max_delay"] = self.breaker_max_delay
-        if self.breaker_jitter is not None:
-            overrides["jitter"] = self.breaker_jitter
-        return overrides
-
-    def breaker_policy(self) -> "BreakerPolicy":
-        """The ladder's circuit-breaker policy this config resolves to.
-
-        Seeded from :meth:`root_seed`, so backoff jitter is as reproducible
-        as everything else the config derives from its seed.
-        """
-        from .remote import BreakerPolicy
-
-        return BreakerPolicy(seed=self.root_seed(), **self.breaker_overrides())
-
-    def spawn_seeds(self, count: int) -> list[int]:
-        """``count`` independent child seeds of the config's root seed (see :func:`spawn_seeds`)."""
-        return spawn_seeds(self.root_seed(), count)
 
 
 class _SerialEvaluator:
@@ -656,6 +206,39 @@ class _SerialEvaluator:
         return None
 
 
+def _primary_evaluator(
+    game: NetworkCreationGame,
+    cfg: "SimulationConfig",
+    *,
+    breaker: "BreakerPolicy | None",
+) -> EvaluatorBackend:
+    """The configured backend: a remote fleet client or a local worker pool.
+
+    ``breaker`` arms the remote client's circuit breaker (the ladder passes
+    one; ``failover="strict"`` deliberately runs without); the local pool
+    has no endpoints to trip and ignores it.
+    """
+    if cfg.backend == "remote":
+        from .remote import DEFAULT_BATCH_TIMEOUT, DEFAULT_MAX_RETRIES, RemoteEvaluator
+
+        return RemoteEvaluator.for_game(
+            game,
+            endpoints=cfg.endpoints,
+            batch_timeout=(
+                DEFAULT_BATCH_TIMEOUT if cfg.batch_timeout is None else cfg.batch_timeout
+            ),
+            max_retries=(
+                DEFAULT_MAX_RETRIES if cfg.max_retries is None else cfg.max_retries
+            ),
+            auth_token=cfg.auth_token,
+            breaker=breaker,
+            residual_encoding=cfg.residual_encoding,
+        )
+    return ParallelEvaluator.for_game(
+        game, workers=cfg.workers, residual_encoding=cfg.residual_encoding
+    )
+
+
 class _FailoverLadder:
     """Supervised evaluator stack: remote → local pool → in-process serial.
 
@@ -683,45 +266,23 @@ class _FailoverLadder:
     """
 
     def __init__(self, game: NetworkCreationGame, cfg: "SimulationConfig") -> None:
-        builders: list[Any] = []
+        builders: list[Callable[[], Any]] = []
         if cfg.backend == "remote":
-            from .remote import RemoteEvaluator
+            from .remote import BreakerPolicy
 
-            # None means "the backend's default": only pin what the
-            # config actually set, so backend defaults stay in one place.
-            fleet_kwargs: dict[str, Any] = {}
-            if cfg.batch_timeout is not None:
-                fleet_kwargs["batch_timeout"] = cfg.batch_timeout
-            if cfg.max_retries is not None:
-                fleet_kwargs["max_retries"] = cfg.max_retries
-            if cfg.auth_token is not None:
-                fleet_kwargs["auth_token"] = cfg.auth_token
-            builders.append(
-                lambda: RemoteEvaluator.for_game(
-                    game,
-                    endpoints=cfg.endpoints,
-                    breaker=cfg.breaker_policy(),
-                    residual_encoding=cfg.residual_encoding,
-                    **fleet_kwargs,
-                )
-            )
+            # Seeded from the config's root seed, so backoff jitter is as
+            # reproducible as everything else the config derives.
+            breaker = BreakerPolicy(seed=cfg.root_seed())
+            builders.append(lambda: _primary_evaluator(game, cfg, breaker=breaker))
             builders.append(
                 lambda: ParallelEvaluator.for_game(
                     game,
                     workers=default_workers(),
-                    buffering=cfg.buffering,
                     residual_encoding=cfg.residual_encoding,
                 )
             )
         else:
-            builders.append(
-                lambda: ParallelEvaluator.for_game(
-                    game,
-                    workers=cfg.workers,
-                    buffering=cfg.buffering,
-                    residual_encoding=cfg.residual_encoding,
-                )
-            )
+            builders.append(lambda: _primary_evaluator(game, cfg, breaker=None))
         builders.append(lambda: _SerialEvaluator.for_game(game))
         self._builders = builders
         self._rungs: list[Any] = [None] * len(builders)
@@ -883,10 +444,12 @@ class GameSession:
     fail-fast semantics.
 
     Per-run keyword overrides may change ``response``, ``order``,
-    ``schedule``, ``max_rounds``, ``max_candidates`` and ``seed``;
-    ``engine``, ``workers``, ``repair_threshold``, ``backend``,
-    ``endpoints``, ``buffering``, ``batch_timeout``, ``max_retries``,
-    ``failover`` and ``auth_token`` are fixed for the session's lifetime
+    ``schedule``, ``max_rounds``, ``max_candidates``, ``seed`` and the
+    checkpoint policy; the session-scoped fields (``engine``, ``workers``,
+    ``repair_threshold``, ``backend``, ``endpoints``,
+    ``residual_encoding``, ``batch_timeout``, ``max_retries``,
+    ``failover`` and ``auth_token`` — each marked ``session=True`` in its
+    :class:`~repro.core.config.Knob`) are fixed for the session's lifetime
     because the owned engine and evaluator are shaped by them (open a new
     session — or :meth:`SimulationConfig.replace` the config — to change
     those).
@@ -989,31 +552,8 @@ class GameSession:
         if self._evaluator is None:
             if cfg.failover == "ladder":
                 self._evaluator = _FailoverLadder(self._game, cfg)
-            elif cfg.backend == "remote":
-                from .remote import RemoteEvaluator
-
-                # None means "the backend's default": only pin what the
-                # config actually set, so backend defaults stay in one place.
-                fleet_kwargs: dict[str, Any] = {}
-                if cfg.batch_timeout is not None:
-                    fleet_kwargs["batch_timeout"] = cfg.batch_timeout
-                if cfg.max_retries is not None:
-                    fleet_kwargs["max_retries"] = cfg.max_retries
-                if cfg.auth_token is not None:
-                    fleet_kwargs["auth_token"] = cfg.auth_token
-                self._evaluator = RemoteEvaluator.for_game(
-                    self._game,
-                    endpoints=cfg.endpoints,
-                    residual_encoding=cfg.residual_encoding,
-                    **fleet_kwargs,
-                )
             else:
-                self._evaluator = ParallelEvaluator.for_game(
-                    self._game,
-                    workers=cfg.workers,
-                    buffering=cfg.buffering,
-                    residual_encoding=cfg.residual_encoding,
-                )
+                self._evaluator = _primary_evaluator(self._game, cfg, breaker=None)
             self._evaluators_created += 1
         return self._evaluator
 
@@ -1426,7 +966,7 @@ def resume_dynamics(
 
     ``overrides`` replace fields of the checkpointed config for the
     continuation — placement fields (``backend``, ``workers``,
-    ``endpoints``, ``buffering``, ``batch_timeout``, ``max_retries``) and
+    ``endpoints``, ``batch_timeout``, ``max_retries``) and
     the checkpoint policy may change freely (``checkpoint_every=None,
     checkpoint_path=None`` stops further checkpointing); the
     trajectory-shaping fields (:data:`~repro.core.checkpoint

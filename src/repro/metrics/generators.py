@@ -1,7 +1,8 @@
 """Random host-graph generators for all model variants of the paper.
 
-Every generator takes an explicit :class:`numpy.random.Generator` so
-experiments are reproducible, and returns a
+Every random generator requires an explicit ``rng``
+(:class:`numpy.random.Generator`) keyword, so no instance is ever drawn
+from unseeded OS entropy; each returns a
 :class:`~repro.core.host_graph.HostGraph`.
 """
 
@@ -22,23 +23,15 @@ __all__ = [
 ]
 
 
-def _require_rng(rng: np.random.Generator | None) -> np.random.Generator:
-    # Entropy is an explicit caller opt-in: every generator documents that
-    # omitting ``rng`` yields an unreproducible instance; all repro code
-    # paths pass a seeded Generator (see spawn_seeds / root_seed).
-    return np.random.default_rng() if rng is None else rng  # repro-lint: disable=DET001
-
-
 def unit_host(n: int) -> HostGraph:
     """The classical NCG host graph: a complete graph with unit weights."""
     return HostGraph.unit(n)
 
 
 def random_one_two_host(
-    n: int, *, one_probability: float = 0.5, rng: np.random.Generator | None = None
+    n: int, *, one_probability: float = 0.5, rng: np.random.Generator
 ) -> HostGraph:
     """A random 1-2 host graph: each pair independently gets weight 1 with probability ``one_probability``."""
-    rng = _require_rng(rng)
     if not 0.0 <= one_probability <= 1.0:
         raise ValueError("one_probability must be in [0, 1]")
     draws = rng.random((n, n)) < one_probability
@@ -48,7 +41,7 @@ def random_one_two_host(
 
 
 def random_one_infinity_host(
-    n: int, *, edge_probability: float = 0.6, rng: np.random.Generator | None = None
+    n: int, *, edge_probability: float = 0.6, rng: np.random.Generator
 ) -> HostGraph:
     """A random 1-∞ host graph over a connected Erdős–Rényi support.
 
@@ -56,7 +49,6 @@ def random_one_infinity_host(
     principle be connected (the paper's 1-∞ model assumes connectivity is
     achievable).
     """
-    rng = _require_rng(rng)
     allowed = set()
     # random spanning tree via random permutation attachment
     order = rng.permutation(n)
@@ -74,10 +66,9 @@ def random_tree_host(
     *,
     weight_low: float = 0.5,
     weight_high: float = 3.0,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> HostGraph:
     """A random tree metric: a uniform random recursive tree with i.i.d. edge weights."""
-    rng = _require_rng(rng)
     edges = []
     for v in range(1, n):
         parent = int(rng.integers(0, v))
@@ -94,10 +85,9 @@ def random_euclidean_host(
     dimension: int = 2,
     p: float = 2.0,
     scale: float = 1.0,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> HostGraph:
     """Random points in ``[0, scale]^dimension`` with p-norm distances (Rd–GNCG)."""
-    rng = _require_rng(rng)
     points = rng.random((n, dimension)) * scale
     return HostGraph.from_points(points, p=p)
 
@@ -107,7 +97,7 @@ def random_metric_host(
     *,
     weight_low: float = 0.5,
     weight_high: float = 2.0,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> HostGraph:
     """A random general metric: i.i.d. weights pushed through the shortest-path closure.
 
@@ -115,7 +105,6 @@ def random_metric_host(
     triangle inequality, so the result is a valid M–GNCG host that is not (in
     general) Euclidean or tree-like.
     """
-    rng = _require_rng(rng)
     w = rng.uniform(weight_low, weight_high, size=(n, n))
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)
@@ -127,13 +116,12 @@ def random_general_host(
     *,
     weight_low: float = 0.1,
     weight_high: float = 5.0,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> HostGraph:
     """Arbitrary non-negative symmetric weights (the unrestricted GNCG).
 
     The result need not satisfy the triangle inequality.
     """
-    rng = _require_rng(rng)
     w = rng.uniform(weight_low, weight_high, size=(n, n))
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)

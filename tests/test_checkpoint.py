@@ -468,6 +468,37 @@ def test_checkpoint_config_fields_round_trip_through_json():
     assert SimulationConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
+def test_checkpoint_carrying_retired_config_keys_still_resumes(tmp_path):
+    """Checkpoints written before ``buffering`` and the ``breaker_*`` knobs
+    were retired still carry those keys; they never shaped a trajectory,
+    so a resume drops them and continues byte-identically."""
+    rng = np.random.default_rng(31)
+    game = _random_game("euclidean", 8, rng)
+    start = _random_profile(8, rng, 0.3)
+    cfg = SimulationConfig(schedule="batched", seed=4)
+    straight = _run_straight(game, start, cfg)
+    template, directory = _boundary_files(tmp_path, "retired")
+    _run_straight(game, start, cfg.replace(checkpoint_path=template))
+    boundaries = _written_boundaries(directory)
+    assert boundaries
+    for path in boundaries:
+        ckpt = load_checkpoint(path)
+        assert ckpt.version == CHECKPOINT_VERSION == 1
+        ckpt.config.update(
+            buffering="double",
+            breaker_trip_after=None,
+            breaker_base_delay=None,
+            breaker_max_delay=None,
+            breaker_jitter=0.5,
+        )
+        save_checkpoint(ckpt, path)
+        resumed = resume_dynamics(str(path), **NO_CHECKPOINTING)
+        _assert_identical_runs([straight, resumed])
+    # Only a checkpoint's retired keys are forgiven; config files stay strict.
+    with pytest.raises(ValueError, match="unknown SimulationConfig field"):
+        SimulationConfig.from_dict({**cfg.to_dict(), "buffering": "double"})
+
+
 def test_resume_rejects_trajectory_field_changes(tmp_path):
     rng = np.random.default_rng(13)
     game = _random_game("euclidean", 8, rng)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.analysis.reporting import ReproductionReport, build_construction_report
@@ -114,14 +116,7 @@ class TestBackendFlags:
         data = json.loads(capsys.readouterr().out)
         assert data["backend"] == "remote"
         assert data["endpoints"] == ["127.0.0.1:7601", "127.0.0.1:7602"]
-        assert data["buffering"] == "single"
-
-    def test_config_dump_buffering_flag(self, capsys):
-        import json
-
-        code = main(["config", "dump", "--workers", "2", "--buffering", "double"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["buffering"] == "double"
+        assert "buffering" not in data
 
     def test_remote_backend_without_endpoint_is_a_parse_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -150,3 +145,129 @@ class TestBackendFlags:
                 remote += ["--endpoint", endpoint]
             assert main(remote) == 0
         assert capsys.readouterr().out == local_out
+
+
+# The option surface (flag, dest, choices, type) every subcommand had while
+# the config flags were declared by hand, including the retired ones.
+_VARIANT = ("--variant", "variant",
+            ("ncg", "one_two", "tree", "euclidean", "metric", "general"), None)
+_PLACEMENT = {
+    ("--workers", "workers", None, "int"),
+    ("--backend", "backend", ("local", "remote"), None),
+    ("--endpoint", "endpoints", None, None),
+    ("--residual-encoding", "residual_encoding", ("dense", "delta"), None),
+    ("--batch-timeout", "batch_timeout", None, "float"),
+    ("--max-retries", "max_retries", None, "int"),
+    ("--failover", "failover", ("ladder", "strict"), None),
+    ("--auth-token", "auth_token", None, None),
+    ("--checkpoint", "checkpoint_path", None, None),
+    ("--checkpoint-every", "checkpoint_every", None, "int"),
+    ("--breaker-trip-after", "breaker_trip_after", None, "int"),
+    ("--breaker-base-delay", "breaker_base_delay", None, "float"),
+    ("--breaker-max-delay", "breaker_max_delay", None, "float"),
+    ("--breaker-jitter", "breaker_jitter", None, "float"),
+}
+_EXPERIMENT = _PLACEMENT | {
+    ("--config", "config", None, None),
+    ("--engine", "engine", ("incremental", "exact"), None),
+    ("--schedule", "schedule", ("sequential", "batched"), None),
+    ("--seed", "seed", None, "int"),
+}
+_GAME = {("--n", "n", None, "int"), ("--alpha", "alpha", None, "float"), _VARIANT}
+_GADGET = {("--alpha", "alpha", None, "float"),
+           ("--gadget-size", "gadget_size", None, "int")}
+FORMER_SURFACE = {
+    "table1": _GADGET,
+    "constructions": _GADGET,
+    "poa": _EXPERIMENT | _GAME | {("--instances", "instances", None, "int"),
+                                  ("--samples", "samples", None, "int")},
+    "dynamics": _EXPERIMENT | _GAME | {("--instances", "instances", None, "int"),
+                                       ("--runs", "runs", None, "int")},
+    "simulate": _EXPERIMENT | _GAME,
+    "resume": _PLACEMENT | {("", "checkpoint_file", None, None),
+                            ("--no-checkpoint", "no_checkpoint", None, None)},
+    "config": set(),
+    "config dump": _EXPERIMENT | {
+        ("--buffering", "buffering", ("single", "double"), None),
+        ("--response", "response", ("best", "greedy", "single"), None),
+        ("--order", "order", ("round_robin", "random", "max_gain"), None),
+        ("--max-rounds", "max_rounds", None, "int"),
+        ("--max-candidates", "max_candidates", None, "int"),
+        ("--repair-threshold", "repair_threshold", None, "float"),
+    },
+    "worker": set(),
+    "worker serve": {
+        ("--host", "host", None, None),
+        ("--port", "port", None, "int"),
+        ("--auth-token", "auth_token", None, None),
+        ("--fault-plan", "fault_plan", None, None),
+        ("--worker-index", "worker_index", None, "int"),
+    },
+    "chaos": _GAME | {
+        ("--seed", "seed", None, "int"),
+        ("--schedule", "schedule", ("sequential", "batched"), None),
+        ("--preset", "preset", None, None),
+        ("--plan", "plan", None, None),
+    },
+    "lint": {("", "paths", None, None), ("--json", "as_json", None, None),
+             ("--root", "root", None, None)},
+}
+RETIRED_FLAGS = {
+    "--buffering",
+    "--breaker-trip-after",
+    "--breaker-base-delay",
+    "--breaker-max-delay",
+    "--breaker-jitter",
+}
+
+
+def _subparsers(parser, prefix=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield " ".join(prefix + (name,)), sub
+                yield from _subparsers(sub, prefix + (name,))
+
+
+def _options(parser):
+    return [
+        action
+        for action in parser._actions
+        if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+    ]
+
+
+class TestCLISurface:
+    """Flags derived from the SimulationConfig field metadata."""
+
+    def test_every_subcommand_keeps_its_options_minus_the_retired_flags(self):
+        surface = {
+            name: {
+                (
+                    " ".join(action.option_strings),
+                    action.dest,
+                    tuple(action.choices) if action.choices else None,
+                    getattr(action.type, "__name__", None),
+                )
+                for action in _options(sub)
+            }
+            for name, sub in _subparsers(build_parser())
+        }
+        expected = {
+            name: {option for option in options if option[0] not in RETIRED_FLAGS}
+            for name, options in FORMER_SURFACE.items()
+        }
+        assert surface == expected
+
+    def test_residual_encoding_is_declared_once(self):
+        helps = []
+        for _name, sub in _subparsers(build_parser()):
+            flagged = [
+                action
+                for action in _options(sub)
+                if "--residual-encoding" in action.option_strings
+            ]
+            assert len(flagged) <= 1
+            helps.extend(action.help for action in flagged)
+        assert len(helps) == 5  # poa, dynamics, simulate, resume, config dump
+        assert len(set(helps)) == 1

@@ -4,8 +4,9 @@ Five subsystems' invariants used to live only in commit messages; PR 5
 moved them into ``docs/``.  These checks keep that surface honest:
 
 * every :class:`~repro.core.session.SimulationConfig` field appears in the
-  field table of ``docs/api.md`` (adding a config knob without documenting
-  it fails CI);
+  field table of ``docs/api.md`` and every row of that table names a live
+  field (adding a config knob without documenting it, or removing one
+  without deleting its row, fails CI);
 * every benchmark module is mapped in ``docs/benchmarks.md`` (adding a
   benchmark without saying which paper figure/theorem it certifies fails
   CI);
@@ -36,6 +37,24 @@ def test_api_doc_tables_cover_every_simulation_config_field():
     assert not missing, (
         f"SimulationConfig field(s) {missing} are not documented in the "
         "docs/api.md field table (rows look like '| `field` | default | ...')"
+    )
+
+
+def test_api_doc_table_rows_name_live_simulation_config_fields():
+    """The reverse check: no row of a removed field lingers in the table."""
+    lines = [line.strip() for line in (DOCS / "api.md").read_text().splitlines()]
+    header = lines.index("| field              | default         | meaning |")
+    fields = {field.name for field in dataclasses.fields(SimulationConfig)}
+    rows = []
+    for line in lines[header + 2 :]:
+        if not line.startswith("| `"):
+            break
+        rows.append(line.split("`")[1])
+    assert rows, "docs/api.md SimulationConfig table has no rows"
+    stale = [name for name in rows if name not in fields]
+    assert not stale, (
+        f"docs/api.md documents SimulationConfig field(s) {stale} that no "
+        "longer exist"
     )
 
 

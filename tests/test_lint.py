@@ -731,6 +731,7 @@ def test_module_entry_point_runs_the_shipped_tree():
 # ---------------------------------------------------------------------------
 
 STRICT_MODULES = [
+    "src/repro/core/config.py",
     "src/repro/core/session.py",
     "src/repro/core/checkpoint.py",
     "src/repro/core/faults.py",

@@ -102,6 +102,23 @@ class TestGenerators:
             assert np.all(finite >= 0.0)
 
 
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            random_one_two_host,
+            random_one_infinity_host,
+            random_tree_host,
+            random_euclidean_host,
+            random_metric_host,
+            random_general_host,
+        ],
+    )
+    def test_rng_is_required(self, generator):
+        # Unseeded entropy is never a default: omitting rng is a call error.
+        with pytest.raises(TypeError, match="rng"):
+            generator(5)
+
+
 class TestValidation:
     def test_is_metric_matrix(self):
         good = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 1.2], [1.5, 1.2, 0.0]])

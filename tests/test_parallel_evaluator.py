@@ -173,10 +173,10 @@ def test_workers_validation():
 
 
 # ----------------------------------------------------------------------
-# Double-buffered snapshots
+# Chunked snapshot dispatch
 # ----------------------------------------------------------------------
 def test_double_buffering_identical_dynamics():
-    """buffering in {single, double} x workers in {1, 2, 4}: one trajectory."""
+    """workers in {1, 2, 4} through the session config: one trajectory."""
     from repro.core import SimulationConfig
 
     rng = np.random.default_rng(37)
@@ -188,12 +188,10 @@ def test_double_buffering_identical_dynamics():
             start,
             rng=7,
             config=SimulationConfig(
-                schedule="batched", workers=workers, buffering=buffering,
-                max_rounds=10,
+                schedule="batched", workers=workers, max_rounds=10
             ),
         )
         for workers in WORKER_COUNTS
-        for buffering in ("single", "double")
     ]
     _assert_identical_runs(runs)
 
@@ -202,9 +200,9 @@ def test_double_buffering_under_slot_pressure():
     """Chunked dispatch (more distinct matrices than slots) stays bit-exact.
 
     With ``slots=2`` and seven distinct residual matrices the batch spans
-    four chunks, so double buffering actually overlaps banks — and a bank
-    must never be rewritten before its previous chunk is gathered, which
-    the equality against the serial engine would expose immediately.
+    four chunks on the one slot bank — and a slot must never be rewritten
+    before its chunk is gathered, which the equality against the serial
+    engine would expose immediately.
     """
     rng = np.random.default_rng(53)
     n = 7
@@ -214,21 +212,11 @@ def test_double_buffering_under_slot_pressure():
     # force distinct matrix objects per agent (copies break identity sharing)
     tasks = [(u, engine.residual(u).copy(), profile.strategy(u)) for u in range(n)]
     serial = [engine.respond(u, "best", d_rest=tasks[u][1]) for u in range(n)]
-    for buffering in ("single", "double"):
-        with ParallelEvaluator.for_game(
-            game, workers=2, slots=2, buffering=buffering
-        ) as evaluator:
-            assert evaluator.buffering == buffering
-            assert evaluator.evaluate(tasks, "best") == serial
-            stats = evaluator.stats
-            assert stats.backend == "local"
-            assert stats.batches == 1 and stats.tasks == n
-
-
-def test_buffering_validation():
-    game = _random_game("metric", 5, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="buffering"):
-        ParallelEvaluator.for_game(game, workers=2, buffering="triple")
+    with ParallelEvaluator.for_game(game, workers=2, slots=2) as evaluator:
+        assert evaluator.evaluate(tasks, "best") == serial
+        stats = evaluator.stats
+        assert stats.backend == "local"
+        assert stats.batches == 1 and stats.tasks == n
 
 
 # ----------------------------------------------------------------------
@@ -524,6 +512,11 @@ def test_pool_broken_twice_raises_clean_error(monkeypatch):
         ]
         monkeypatch.setattr(ParallelEvaluator, "_rebuild_pool", sabotage)
         os.kill(evaluator.worker_pids()[0], signal.SIGKILL)
+        # Wait for the executor to notice the dead worker: otherwise the
+        # surviving worker can finish every task first and nothing breaks.
+        deadline = time.monotonic() + 5.0
+        while not evaluator._pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
         with pytest.raises(PoolBrokenError):
             evaluator.evaluate(tasks, "single")
         assert issubclass(PoolBrokenError, EvaluatorError)

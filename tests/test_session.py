@@ -29,6 +29,7 @@ enforced here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing as mp
 import zlib
@@ -122,7 +123,7 @@ class TestSimulationConfig:
             {"seed": None, "repair_threshold": 0.0, "max_candidates": 5},
             {"response": "single", "workers": 2, "schedule": "batched"},
             {"backend": "remote", "endpoints": ("a:1", "b:2")},
-            {"workers": 2, "buffering": "double"},
+            {"workers": 2, "residual_encoding": "delta"},
             {
                 "backend": "remote",
                 "endpoints": ("a:1",),
@@ -175,7 +176,7 @@ class TestSimulationConfig:
             ({"engine": "exact", "schedule": "batched"}, "incremental"),
             ({"schedule": "batched", "order": "max_gain"}, "max_gain"),
             ({"backend": "bogus"}, "unknown backend"),
-            ({"buffering": "triple"}, "unknown buffering"),
+            ({"residual_encoding": "sparse"}, "unknown residual_encoding"),
             ({"backend": "remote"}, "requires endpoints"),
             (
                 {"backend": "remote", "endpoints": ("h:1",), "engine": "exact"},
@@ -186,12 +187,8 @@ class TestSimulationConfig:
                 "workers",
             ),
             (
-                {
-                    "backend": "remote",
-                    "endpoints": ("h:1",),
-                    "buffering": "double",
-                },
-                "buffering",
+                {"backend": "remote", "endpoints": 5},
+                "invalid SimulationConfig field value for endpoints",
             ),
             ({"endpoints": ("h:1",)}, "backend='remote'"),
             ({"backend": "remote", "endpoints": ("nocolon",)}, "invalid endpoint"),
@@ -206,7 +203,7 @@ class TestSimulationConfig:
                 {"backend": "remote", "endpoints": ("h:1",), "max_retries": -1},
                 "max_retries must be non-negative",
             ),
-            ({"failover": "yolo"}, "unknown failover policy"),
+            ({"failover": "yolo"}, "unknown failover 'yolo'"),
             ({"auth_token": "sesame"}, "backend='remote'"),
         ],
     )
@@ -268,6 +265,43 @@ class TestSimulationConfig:
         )
         assert SimulationConfig(seed=5).spawn_seeds(3) == session_module.spawn_seeds(5, 3)
         assert len(set(SimulationConfig().spawn_seeds(8))) == 8
+
+
+RETIRED_FIELDS = {
+    "buffering",
+    "breaker_trip_after",
+    "breaker_base_delay",
+    "breaker_max_delay",
+    "breaker_jitter",
+}
+
+
+def test_derived_field_sets_equal_the_hand_written_ones_minus_retired_fields():
+    """Scopes derived from the field metadata match the tuples they replaced."""
+    import repro.core
+    import repro.core.checkpoint
+    from repro.core.config import TRAJECTORY_FIELDS
+
+    names = [f.name for f in dataclasses.fields(SimulationConfig)]
+    assert len(names) == 18 and RETIRED_FIELDS.isdisjoint(names)
+    session_scoped = (
+        "engine", "workers", "repair_threshold", "backend", "endpoints",
+        "buffering", "residual_encoding", "batch_timeout", "max_retries",
+        "failover", "auth_token", "breaker_trip_after", "breaker_base_delay",
+        "breaker_max_delay", "breaker_jitter",
+    )
+    assert session_module._SESSION_SCOPED == tuple(
+        name for name in session_scoped if name not in RETIRED_FIELDS
+    )
+    trajectory = (
+        "engine", "schedule", "response", "order", "max_rounds",
+        "max_candidates", "repair_threshold",
+    )
+    # Derived in field-declaration order, which places repair_threshold third.
+    assert len(TRAJECTORY_FIELDS) == len(set(TRAJECTORY_FIELDS))
+    assert set(TRAJECTORY_FIELDS) == set(trajectory)
+    assert repro.core.TRAJECTORY_FIELDS is TRAJECTORY_FIELDS
+    assert repro.core.checkpoint.TRAJECTORY_FIELDS is TRAJECTORY_FIELDS
 
 
 # ----------------------------------------------------------------------
@@ -605,92 +639,22 @@ def test_session_rejects_unknown_verify_mode():
 # CLI: --config files and `repro config dump`
 # ----------------------------------------------------------------------
 class TestBreakerConfig:
-    """The ``breaker_*`` knobs: validated, round-tripped, remote-only."""
-
-    REMOTE = {"backend": "remote", "endpoints": ("host:1",)}
-
-    def test_unset_fields_resolve_to_policy_defaults(self):
-        from repro.core.remote import BreakerPolicy
-
-        cfg = SimulationConfig(**self.REMOTE)
-        assert cfg.breaker_overrides() == {}
-        assert cfg.breaker_policy() == BreakerPolicy(seed=cfg.root_seed())
-
-    def test_overrides_resolve_and_seed_follows_root_seed(self):
-        cfg = SimulationConfig(
-            **self.REMOTE, seed=42, breaker_trip_after=5, breaker_jitter=0.0
-        )
-        policy = cfg.breaker_policy()
-        assert policy.trip_after == 5
-        assert policy.jitter == 0.0
-        assert policy.base_delay == 0.25  # untouched knobs keep policy defaults
-        assert policy.max_delay == 30.0
-        assert policy.seed == cfg.root_seed() == 42
-
-    def test_json_round_trip_and_coercion(self):
-        cfg = SimulationConfig(
-            **self.REMOTE,
-            breaker_trip_after="3",
-            breaker_base_delay="0.5",
-            breaker_max_delay=10,
-            breaker_jitter=0,
-        )
-        assert cfg.breaker_trip_after == 3
-        assert cfg.breaker_base_delay == 0.5
-        assert cfg.breaker_max_delay == 10.0
-        assert cfg.breaker_jitter == 0.0
-        assert SimulationConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"breaker_trip_after": 0}, "trip_after must be >= 1"),
-            ({"breaker_base_delay": 0.0}, "base_delay must be positive"),
-            (
-                {"breaker_base_delay": 5.0, "breaker_max_delay": 1.0},
-                "max_delay must be >= base_delay",
-            ),
-            ({"breaker_jitter": -0.1}, "jitter must be >= 0"),
-            ({"breaker_trip_after": "three"}, "invalid literal"),
-        ],
-    )
-    def test_range_validation_delegates_to_breaker_policy(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            SimulationConfig(**self.REMOTE, **kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"breaker_trip_after": 2},  # local backend
-            {"backend": "remote", "endpoints": ("host:1",), "failover": "strict",
-             "breaker_jitter": 0.5},  # strict mode runs breaker-less by design
-        ],
-    )
-    def test_requires_remote_backend_and_ladder_failover(self, kwargs):
-        with pytest.raises(ValueError, match="failover='ladder'"):
-            SimulationConfig(**kwargs)
-
-    def test_fields_are_session_scoped(self):
-        assert {
-            "breaker_trip_after",
-            "breaker_base_delay",
-            "breaker_max_delay",
-            "breaker_jitter",
-        } <= set(session_module._SESSION_SCOPED)
-
     def test_ladder_threads_policy_into_the_remote_rung(self):
+        from repro.core.remote import BreakerPolicy
         from repro.core.session import _FailoverLadder
 
         game = _random_game("euclidean", 5, np.random.default_rng(77))
-        cfg = SimulationConfig(
-            **self.REMOTE, breaker_trip_after=4, breaker_max_delay=60.0
-        )
+        cfg = SimulationConfig(backend="remote", endpoints=("host:1",), seed=42)
         ladder = _FailoverLadder(game, cfg)
         rung = ladder._builders[0]()  # the RemoteEvaluator rung, not yet connected
         try:
-            assert rung._breaker == cfg.breaker_policy()
+            assert rung._breaker == BreakerPolicy(seed=cfg.root_seed())
         finally:
             rung.close()
+            ladder.close()
+        # failover="strict" builds the same primary without a breaker.
+        with GameSession(game, cfg.replace(failover="strict")) as strict:
+            assert strict._shared_evaluator()._breaker is None
 
 
 class TestCLIConfig:
@@ -704,27 +668,6 @@ class TestCLIConfig:
         assert cfg == SimulationConfig(
             schedule="batched", workers=3, seed=11, max_rounds=50
         )
-
-    def test_breaker_flags_flow_into_config(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "config", "dump", "--backend", "remote", "--endpoint", "h:1",
-            "--breaker-trip-after", "3", "--breaker-base-delay", "0.5",
-            "--breaker-max-delay", "10", "--breaker-jitter", "0.2",
-        ]) == 0
-        cfg = SimulationConfig.from_dict(json.loads(capsys.readouterr().out))
-        assert cfg.breaker_trip_after == 3
-        assert cfg.breaker_base_delay == 0.5
-        assert cfg.breaker_max_delay == 10.0
-        assert cfg.breaker_jitter == 0.2
-
-    def test_breaker_flags_without_remote_backend_exit_with_usage_error(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["config", "dump", "--breaker-trip-after", "2"])
-        assert excinfo.value.code == 2
 
     def test_config_file_drives_poa_and_flags_override(self, tmp_path, capsys):
         from repro.cli import main
