@@ -622,11 +622,20 @@ class CandidateEvaluator:
                 f"{self.num_candidates} candidates"
             )
         dist = distances_with_candidate_edges(self.base, self.reach, masks)
+        return self.edge_costs(masks) + dist.sum(axis=-1)
+
+    def edge_costs(self, masks: np.ndarray) -> np.ndarray:
+        """Edge-purchase costs of the subsets in ``(..., m)`` boolean ``masks``.
+
+        A subset containing an infinite-price candidate costs ``inf``.  The
+        exact subset scan of :mod:`repro.core.best_response` prices its
+        batches here too, so its costs match :meth:`batch_costs` bit for bit.
+        """
         finite = np.isfinite(self.prices)
         edge_costs = masks @ np.where(finite, self.prices, 0.0)
         if not finite.all():
             edge_costs = np.where(masks[..., ~finite].any(axis=-1), np.inf, edge_costs)
-        return edge_costs + dist.sum(axis=-1)
+        return edge_costs
 
 
 class SingleMoveScorer:
