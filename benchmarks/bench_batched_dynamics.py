@@ -17,7 +17,8 @@ effect on two workloads at ``n in {50, 100, 200}``:
   never invalidate the periphery's cached proposals: sequential round-robin
   re-scores all ``n`` agents every round, batched re-scores only the
   district.  Expected speedup grows with the stable-periphery fraction
-  (>= 1.5x at n=100 is asserted, ~4-5x typical).
+  (>= 1.5x at n=100 is asserted, ~4-5x typical).  The asserted case
+  takes the median of ``PAIRS`` pairs like the cold-start gate below.
 
 * **cold-start dynamics** — round-robin single-move dynamics from a
   spanning tree of the mesh, where early moves shortcut a high-stretch
@@ -184,8 +185,12 @@ def sample_schedules(game, start, order: str, pairs: int = PAIRS) -> dict[str, f
         "speedup": float(median),
         "speedup_iqr": float(q3 - q1),
         "pairs": pairs,
+        "converged": all(s["converged"] for s in samples),
         "same_moves": all(s["same_moves"] for s in samples),
         "same_cost": all(s["same_cost"] for s in samples),
+        # Fixed by the trajectory, so equal across pairs.
+        "hit_rate": samples[0]["hit_rate"],
+        "moves": samples[0]["moves"],
     }
 
 
@@ -194,22 +199,29 @@ def sample_schedules(game, start, order: str, pairs: int = PAIRS) -> dict[str, f
 @pytest.mark.parametrize("n", SIZES)
 def test_district_outage_speedup(benchmark, n, order, paper_report):
     game, start = outage_instance(n)
+    gated = n == 100 and order == "round_robin"
     stats = benchmark.pedantic(
-        compare_schedules, args=(game, start, order), rounds=1, iterations=1
+        sample_schedules if gated else compare_schedules,
+        args=(game, start, order),
+        rounds=1,
+        iterations=1,
     )
+    rows = [
+        ("sequential [s]", "-", stats["sequential_s"]),
+        ("batched [s]", "-", stats["batched_s"]),
+        ("speedup", ">= 1.5 at n=100 (round robin)", stats["speedup"]),
+        ("proposal-cache hit rate", "-", stats["hit_rate"]),
+        ("identical converged cost", "always", stats["same_cost"]),
+    ]
+    if gated:
+        rows.insert(3, ("speedup IQR", f"median of {stats['pairs']} pairs",
+                        stats["speedup_iqr"]))
     paper_report(
-        f"Batched schedule — district outage re-convergence (n={n}, {order})",
-        [
-            ("sequential [s]", "-", stats["sequential_s"]),
-            ("batched [s]", "-", stats["batched_s"]),
-            ("speedup", ">= 1.5 at n=100 (round robin)", stats["speedup"]),
-            ("proposal-cache hit rate", "-", stats["hit_rate"]),
-            ("identical converged cost", "always", stats["same_cost"]),
-        ],
+        f"Batched schedule — district outage re-convergence (n={n}, {order})", rows
     )
     assert stats["converged"]
     assert stats["same_moves"] and stats["same_cost"]
-    if n == 100 and order == "round_robin":
+    if gated:
         assert stats["speedup"] >= 1.5
 
 
@@ -248,15 +260,21 @@ def main() -> int:
     for n in SIZES:
         game, start = outage_instance(n)
         for order in ("round_robin", "random"):
-            stats = compare_schedules(game, start, order)
+            gated = n == 100 and order == "round_robin"
+            stats = (sample_schedules if gated else compare_schedules)(game, start, order)
+            spread = (
+                f" (median of {stats['pairs']}, IQR {stats['speedup_iqr']:.2f})"
+                if gated
+                else ""
+            )
             print(
                 f"  n={n:>3} {order:>11}: sequential {stats['sequential_s']:6.2f}s  "
-                f"batched {stats['batched_s']:6.2f}s  speedup {stats['speedup']:.2f}x  "
+                f"batched {stats['batched_s']:6.2f}s  speedup {stats['speedup']:.2f}x{spread}  "
                 f"hit rate {stats['hit_rate']:.2f}  moves={stats['moves']}  "
                 f"identical={stats['same_moves'] and stats['same_cost']}"
             )
             ok &= stats["converged"] and stats["same_moves"] and stats["same_cost"]
-            if n == 100 and order == "round_robin":
+            if gated:
                 ok &= stats["speedup"] >= 1.5
     print("cold start from a spanning tree:")
     for n in (50, 100):

@@ -13,27 +13,27 @@ is also usable serially (``workers=0``), which the test-suite relies on.
 
 Two levels of parallelism compose here.  *Instance-level*: independent
 ``(callable, args)`` tasks across a :func:`run_parallel` process pool.
-*Intra-round*: every sweep accepts a ``workers`` switch threaded down to
-:func:`repro.core.dynamics.run_dynamics`, which fans the batched
-evaluations of a single dynamics run out to worker processes over
-shared-memory snapshots (:mod:`repro.core.parallel`).  When composing the
-two, pass the per-task worker count as ``workers_per_task`` to
-:func:`run_parallel` so the instance-level pool is capped at
-``cpu_count // workers_per_task`` and the machine is never oversubscribed.
+*Intra-round*: every sweep accepts the config's ``workers`` field, which
+fans the batched evaluations of a single dynamics run out to worker
+processes over shared-memory snapshots (:mod:`repro.core.parallel`).
+When composing the two, pass the per-task worker count as
+``workers_per_task`` to :func:`run_parallel` so the instance-level pool is
+capped at ``cpu_count // workers_per_task`` and the machine is never
+oversubscribed.
 Per-instance seeds for parallel sweeps should come from
 :func:`spawn_seeds` (``numpy.random.SeedSequence.spawn``), which makes the
 streams independent and reproducible regardless of scheduling order.
 
-Every sweep is configured by a
-:class:`~repro.core.session.SimulationConfig` — passed whole as
-``config=`` or assembled from the legacy ``engine``/``schedule``/
-``workers`` keywords, which override the config's fields — and executes
-its per-instance dynamics runs through one
-:class:`~repro.core.session.GameSession` per instance, so the runs of an
-instance share a single incremental engine and a single evaluator backend
-— a shared-memory worker pool for ``workers > 1``, a remote connection
-set for ``config.backend="remote"`` — instead of paying pool start-up
-(or reconnecting) per run.  The engines compute identical best responses,
+Every sweep takes ``config=None, **overrides`` and is configured by
+``SimulationConfig.merged(config, **overrides)``: any
+:class:`~repro.core.session.SimulationConfig` field may be given as a
+keyword (``None`` means "not given"), including ``seed``, the root of the
+sweep's instance stream.  A sweep executes its per-instance dynamics runs
+through one :class:`~repro.core.session.GameSession` per instance, so the
+runs of an instance share a single incremental engine and a single
+evaluator backend — a shared-memory worker pool for ``workers > 1``, a
+remote connection set for ``config.backend="remote"`` — instead of paying
+pool start-up (or reconnecting) per run.  The engines compute identical best responses,
 the schedules follow identical trajectories and the worker counts and
 backends produce bit-identical results — all of these switches trade
 nothing but time and placement; see :mod:`repro.core.session`,
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -138,11 +138,6 @@ def _upper_bound_for(host: HostGraph, alpha: float) -> float:
 _CONVERGENCE_MAX_ROUNDS = 40
 
 
-def _resolve_seed(seed: int | None, cfg: SimulationConfig) -> int:
-    """An explicit ``seed`` wins; otherwise the config's seed policy."""
-    return int(seed) if seed is not None else cfg.root_seed()
-
-
 def poa_experiment(
     variant: str,
     n: int,
@@ -150,34 +145,23 @@ def poa_experiment(
     *,
     instances: int = 5,
     samples_per_instance: int = 6,
-    seed: int | None = None,
-    max_candidates: int | None = None,
-    engine: str | None = None,
-    schedule: str | None = None,
-    workers: int | None = None,
     config: SimulationConfig | None = None,
+    **overrides: Any,
 ) -> PoASummary:
     """Measure the empirical PoA of random instances of one variant.
 
     Each instance contributes the worst ratio over all sampled equilibria;
     the summary reports the maximum and mean over instances and whether the
     relevant closed-form upper bound was respected by every measurement.
-    The dynamics machinery is configured by ``config`` (a
-    :class:`~repro.core.session.SimulationConfig`; the legacy ``engine``/
-    ``schedule``/``workers``/``max_candidates`` keywords override its
-    fields) and every instance runs through one
+    The dynamics machinery is configured by
+    ``SimulationConfig.merged(config, **overrides)`` — the ``seed`` field
+    seeds the instance stream — and every instance runs through one
     :class:`~repro.core.session.GameSession`, so all
     ``samples_per_instance`` dynamics runs of an instance share a single
     engine and worker pool.
     """
-    cfg = SimulationConfig.merged(
-        config,
-        max_candidates=max_candidates,
-        engine=engine,
-        schedule=schedule,
-        workers=workers,
-    )
-    rng = np.random.default_rng(_resolve_seed(seed, cfg))
+    cfg = SimulationConfig.merged(config, **overrides)
+    rng = np.random.default_rng(cfg.root_seed())
     ratios: list[float] = []
     found = 0
     bound_ok = True
@@ -215,23 +199,18 @@ def sweep_alpha(
     *,
     instances: int = 3,
     samples_per_instance: int = 4,
-    seed: int | None = None,
-    engine: str | None = None,
-    schedule: str | None = None,
-    workers: int | None = None,
     config: SimulationConfig | None = None,
+    **overrides: Any,
 ) -> list[PoASummary]:
     """Run :func:`poa_experiment` for every alpha in a sweep.
 
-    Per-alpha seeds are derived from the root seed (``seed``, or the
-    config's seed policy) with :func:`spawn_seeds`, so the cells of the
-    sweep are statistically independent and may be distributed across a
-    :func:`run_parallel` pool without changing any result.
+    Configured like :func:`poa_experiment`.  Per-alpha seeds are derived
+    from the config's root seed with :func:`spawn_seeds`, so the cells of
+    the sweep are statistically independent and may be distributed across
+    a :func:`run_parallel` pool without changing any result.
     """
-    cfg = SimulationConfig.merged(
-        config, engine=engine, schedule=schedule, workers=workers
-    )
-    seeds = spawn_seeds(_resolve_seed(seed, cfg), len(alphas))
+    cfg = SimulationConfig.merged(config, **overrides)
+    seeds = cfg.spawn_seeds(len(alphas))
     return [
         poa_experiment(
             variant,
@@ -253,13 +232,8 @@ def dynamics_convergence_experiment(
     *,
     instances: int = 5,
     runs_per_instance: int = 4,
-    max_rounds: int | None = None,
-    response: str | None = None,
-    seed: int | None = None,
-    engine: str | None = None,
-    schedule: str | None = None,
-    workers: int | None = None,
     config: SimulationConfig | None = None,
+    **overrides: Any,
 ) -> DynamicsSummary:
     """Measure how often best-response dynamics converge on random instances.
 
@@ -267,17 +241,10 @@ def dynamics_convergence_experiment(
     of an instance share one :class:`~repro.core.session.GameSession` (and
     hence one worker pool).
     """
-    cfg = SimulationConfig.merged(
-        config,
-        max_rounds=max_rounds,
-        response=response,
-        engine=engine,
-        schedule=schedule,
-        workers=workers,
-    )
+    cfg = SimulationConfig.merged(config, **overrides)
     if cfg.max_rounds is None:
         cfg = cfg.replace(max_rounds=_CONVERGENCE_MAX_ROUNDS)
-    rng = np.random.default_rng(_resolve_seed(seed, cfg))
+    rng = np.random.default_rng(cfg.root_seed())
     converged = 0
     cycling = 0
     total_runs = 0

@@ -221,8 +221,10 @@ class SimulationConfig:
     max_rounds: int | None = field(
         default=None,
         metadata={"knob": Knob(
-            "round budget (default: the entry point's historical budget — "
-            "poa sampling and simulate 60, the dynamics study 40)",
+            "round budget; a round activates every agent once, or passes "
+            "once over an explicit activation sequence (default: the entry "
+            "point's historical budget — run_dynamics 100, poa sampling and "
+            "simulate 60, the dynamics study 40)",
             coerce=int,
             optional=True,
             trajectory=True,
@@ -472,7 +474,7 @@ class SimulationConfig:
         config: "SimulationConfig | None",
         **overrides: Any,
     ) -> "SimulationConfig":
-        """The one override-merge policy of every legacy entry point.
+        """The one override-merge policy of every module-level entry point.
 
         ``config`` (field defaults when ``None``) is updated with the
         ``overrides`` whose value is not ``None`` — ``None`` means "not

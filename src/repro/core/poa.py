@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -104,86 +104,33 @@ def _initial_profiles(
     return profiles
 
 
-def _sampling_config(
-    config, *, max_rounds, response, max_candidates, engine, schedule, workers
-):
-    """Resolve a sampling config from legacy kwarg overrides.
-
-    An unset ``max_rounds`` stays ``None`` here; the session's sampling
-    entry points resolve it to the historical 60-round budget.
-    """
-    from .session import SimulationConfig
-
-    return SimulationConfig.merged(
-        config,
-        max_rounds=max_rounds,
-        response=response,
-        max_candidates=max_candidates,
-        engine=engine,
-        schedule=schedule,
-        workers=workers,
-    )
-
-
 def sample_equilibria(
     game: NetworkCreationGame,
     *,
     num_samples: int = 10,
-    max_rounds: int | None = None,
-    response: str | None = None,
     verify: str = "nash",
     rng: np.random.Generator | int | None = None,
-    max_candidates: int | None = None,
-    engine: str | None = None,
-    schedule: str | None = None,
-    workers: int | None = None,
     config=None,
     session=None,
+    **overrides: Any,
 ) -> list[StrategyProfile]:
     """Sample stable profiles by running response dynamics from varied seeds.
 
     ``verify`` selects the acceptance test for a converged profile:
     ``"nash"`` (exact NE check), ``"greedy"`` (GE check) or ``"none"``.
-    The run machinery is configured by a
-    :class:`~repro.core.session.SimulationConfig` (``config``, or the
-    individual legacy keywords, which override it) and executed through a
-    :class:`~repro.core.session.GameSession` — an injected open ``session``
-    or a one-shot one — so the whole sweep shares a single engine and
-    worker pool; every configuration reaches the same equilibria — see
+    The runs are configured and executed like
+    :func:`repro.core.dynamics.run_dynamics` — ``config`` or an open
+    ``session``, plus ``overrides`` of any
+    :class:`~repro.core.session.SimulationConfig` field — so the whole
+    sweep shares a single engine and worker pool; every configuration
+    reaches the same equilibria — see
     :meth:`repro.core.session.GameSession.sample_equilibria`.
     """
-    if session is not None:
-        from .session import check_session_call
+    from .session import _session_for
 
-        check_session_call(session, game, config)
-        # engine/schedule/workers are forwarded too: schedule is a per-run
-        # override, and a session-scoped mismatch (engine, workers) raises
-        # instead of silently sampling under a different configuration.
-        return session.sample_equilibria(
-            num_samples=num_samples,
-            verify=verify,
-            rng=rng,
-            max_rounds=max_rounds,
-            response=response,
-            max_candidates=max_candidates,
-            engine=engine,
-            schedule=schedule,
-            workers=workers,
-        )
-    from .session import GameSession
-
-    cfg = _sampling_config(
-        config,
-        max_rounds=max_rounds,
-        response=response,
-        max_candidates=max_candidates,
-        engine=engine,
-        schedule=schedule,
-        workers=workers,
-    )
-    with GameSession(game, cfg) as one_shot:
-        return one_shot.sample_equilibria(
-            num_samples=num_samples, verify=verify, rng=rng
+    with _session_for(game, config, session, overrides) as (sess, run_overrides):
+        return sess.sample_equilibria(
+            num_samples=num_samples, verify=verify, rng=rng, **run_overrides
         )
 
 
@@ -222,60 +169,30 @@ def estimate_poa(
     game: NetworkCreationGame,
     *,
     num_samples: int = 10,
-    response: str | None = None,
     verify: str = "nash",
     optimum_method: str = "auto",
     extra_equilibria: Iterable[StrategyProfile] = (),
     rng: np.random.Generator | int | None = None,
-    max_candidates: int | None = None,
-    engine: str | None = None,
-    schedule: str | None = None,
-    workers: int | None = None,
     config=None,
     session=None,
+    **overrides: Any,
 ) -> PoAEstimate:
     """Empirical Price-of-Anarchy estimate for one instance.
 
     ``extra_equilibria`` lets callers inject known equilibria (e.g. the
     paper's constructions) so the estimate is at least as large as the
-    constructions imply.  The estimate runs through a
-    :class:`~repro.core.session.GameSession` (an injected open ``session``
-    or a one-shot built from ``config``/the legacy keywords), so all
-    sampling runs share one engine and worker pool — see
-    :meth:`repro.core.session.GameSession.poa`.
+    constructions imply.  Configured and executed like
+    :func:`sample_equilibria`, so all sampling runs share one engine and
+    worker pool — see :meth:`repro.core.session.GameSession.poa`.
     """
-    if session is not None:
-        from .session import check_session_call
+    from .session import _session_for
 
-        check_session_call(session, game, config)
-        return session.poa(
+    with _session_for(game, config, session, overrides) as (sess, run_overrides):
+        return sess.poa(
             num_samples=num_samples,
             verify=verify,
             optimum_method=optimum_method,
             extra_equilibria=extra_equilibria,
             rng=rng,
-            response=response,
-            max_candidates=max_candidates,
-            engine=engine,
-            schedule=schedule,
-            workers=workers,
-        )
-    from .session import GameSession
-
-    cfg = _sampling_config(
-        config,
-        max_rounds=None,
-        response=response,
-        max_candidates=max_candidates,
-        engine=engine,
-        schedule=schedule,
-        workers=workers,
-    )
-    with GameSession(game, cfg) as one_shot:
-        return one_shot.poa(
-            num_samples=num_samples,
-            verify=verify,
-            optimum_method=optimum_method,
-            extra_equilibria=extra_equilibria,
-            rng=rng,
+            **run_overrides,
         )

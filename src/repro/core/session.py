@@ -1,10 +1,8 @@
 """Simulation configuration and the session that owns engines, caches and pools.
 
-Three PRs of growth threaded ``engine=``, ``schedule=``, ``workers=`` and
-friends as parallel keyword arguments through every entry point, and every
-call of :func:`repro.core.dynamics.run_dynamics` built — and tore down — its
-own :class:`~repro.core.incremental.IncrementalEngine` and (with
-``workers > 1``) its own :class:`~repro.core.parallel.ParallelEvaluator`
+Every call of :func:`repro.core.dynamics.run_dynamics` used to build — and
+tear down — its own :class:`~repro.core.incremental.IncrementalEngine` and
+(with ``workers > 1``) its own :class:`~repro.core.parallel.ParallelEvaluator`
 worker pool.  For sweeps that run dynamics dozens of times on one instance
 (equilibrium sampling, PoA estimation) the pool start-up dominates at small
 ``n``.  This module gives the simulation surface one composable home:
@@ -28,13 +26,21 @@ worker pool.  For sweeps that run dynamics dozens of times on one instance
     how many engines/evaluators the session actually created (exactly one
     each, however many runs are made) plus cumulative engine counters.
 
-The legacy keyword entry points still work: they are now thin shims that
-open a one-shot session, so their lifecycle is unchanged (everything a call
-creates, the call closes) while session users amortize the pool across all
-runs of an instance.  A run through a session is *bit-identical* — same
-trajectory, same :class:`~repro.core.incremental.EngineStats` — to the same
-run through the legacy keywords, because the session resets (never reuses)
-engine state between runs; only the worker pool survives.  The session is
+One override rule holds for every entry point — the session methods, the
+module-level functions and the sweeps of :mod:`repro.analysis.experiments`:
+besides its own run arguments, each takes ``**overrides`` of
+:class:`SimulationConfig` fields, so a field is accepted everywhere because
+it is declared in :mod:`repro.core.config`, and nowhere else.  The
+module-level functions (``None`` meaning "not given") go through
+:func:`_session_for`: with ``session=`` they run through that open session
+with the overrides applied per run, otherwise they open a one-shot session
+on ``SimulationConfig.merged(config, **overrides)``, so their lifecycle is
+unchanged (everything a call creates, the call closes) while session users
+amortize the pool across all runs of an instance.  A run through a session
+is *bit-identical* — same trajectory, same
+:class:`~repro.core.incremental.EngineStats` — to the same run through a
+one-shot call, because the session resets (never reuses) engine state
+between runs; only the worker pool survives.  The session is
 also the backend plug-in point: ``config.backend`` selects the evaluator
 implementation injected into every per-run engine — ``"local"`` (a
 :class:`~repro.core.parallel.ParallelEvaluator` worker pool when
@@ -58,10 +64,11 @@ Ownership rules (the invariants every layer must preserve):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -107,10 +114,10 @@ def check_session_call(
     game: NetworkCreationGame,
     config: "SimulationConfig | None",
 ) -> None:
-    """Validate a legacy entry point's ``(game, config, session)`` combination.
+    """Validate a module-level entry point's ``(game, config, session)`` combination.
 
-    The one guard shared by every ``session=``-accepting shim
-    (:func:`repro.core.dynamics.run_dynamics`,
+    The guard :func:`_session_for` applies for every ``session=``-accepting
+    entry point (:func:`repro.core.dynamics.run_dynamics`,
     :func:`repro.core.poa.sample_equilibria`,
     :func:`repro.core.poa.estimate_poa`).
     """
@@ -121,6 +128,33 @@ def check_session_call(
             "session is scoped to a different game: a GameSession's engine "
             "and caches are bound to the game it was opened on"
         )
+
+
+@contextlib.contextmanager
+def _session_for(
+    game: NetworkCreationGame,
+    config: "SimulationConfig | None",
+    session: "GameSession | None",
+    overrides: Mapping[str, Any],
+) -> Iterator[tuple["GameSession", dict[str, Any]]]:
+    """The session a module-level entry point runs through, and its run overrides.
+
+    The one override rule of every entry point: ``overrides`` are
+    :class:`SimulationConfig` fields, and ``None`` means "not given".  With
+    an injected ``session`` (validated by :func:`check_session_call`) the
+    given overrides apply per run — a session-scoped mismatch raises — and
+    the session is left open.  Without one, a one-shot session on
+    ``SimulationConfig.merged(config, **overrides)`` is opened and closed;
+    the given overrides are yielded too (a no-op on a config that already
+    holds them), so a method's own defaults yield to them on both paths.
+    """
+    given = {key: value for key, value in overrides.items() if value is not None}
+    if session is not None:
+        check_session_call(session, game, config)
+        yield session, given
+        return
+    with GameSession(game, SimulationConfig.merged(config, **given)) as one_shot:
+        yield one_shot, given
 
 
 # Config fields a session cannot change per run: they shape the owned
@@ -801,12 +835,7 @@ class GameSession:
         num_samples: int = 10,
         verify: str = "nash",
         rng: np.random.Generator | int | None = None,
-        max_rounds: int | None = None,
-        response: str | None = None,
-        max_candidates: int | None = None,
-        engine: str | None = None,
-        schedule: str | None = None,
-        workers: int | None = None,
+        **overrides: Any,
     ) -> list[StrategyProfile]:
         """Sample stable profiles by running dynamics from varied seed profiles.
 
@@ -815,39 +844,29 @@ class GameSession:
         session's engine and worker pool, so a sweep through one session
         creates exactly one :class:`~repro.core.parallel.ParallelEvaluator`
         however many starting profiles it explores.  Activation order is
-        always round-robin (matching the sampling methodology); ``verify``
-        selects the acceptance test (``"nash"``, ``"greedy"`` or
-        ``"none"``) applied to converged profiles.  The remaining keywords
-        are per-run config overrides; session-scoped fields (``engine``,
-        ``workers``) raise unless they match the session's config, they
-        are never silently ignored.
+        round-robin (matching the sampling methodology) unless ``order`` is
+        overridden; ``verify`` selects the acceptance test (``"nash"``,
+        ``"greedy"`` or ``"none"``) applied to converged profiles of finite
+        social cost.  ``overrides`` are per-run config overrides with the
+        semantics of :meth:`run`; the 60-round sampling budget applies when
+        neither they nor the session's config set ``max_rounds``.
         """
         self._ensure_open()
         if verify not in ("nash", "greedy", "none"):
             raise ValueError(f"unknown verify mode {verify!r}")
-        overrides: dict[str, Any] = {"order": "round_robin"}
-        overrides.update(
-            {
-                key: value
-                for key, value in {
-                    "max_rounds": max_rounds,
-                    "response": response,
-                    "max_candidates": max_candidates,
-                    "engine": engine,
-                    "schedule": schedule,
-                    "workers": workers,
-                }.items()
-                if value is not None
-            }
-        )
-        if max_rounds is None and self._config.max_rounds is None:
-            overrides["max_rounds"] = MAX_ROUNDS_SAMPLING
+        overrides = {"order": "round_robin", **overrides}
+        if overrides.get("max_rounds") is None:
+            overrides["max_rounds"] = self._config.resolved_max_rounds(
+                MAX_ROUNDS_SAMPLING
+            )
         cfg = self._run_config(overrides)
         generator = self._coerce_rng(rng, cfg)
         found: dict[bytes, StrategyProfile] = {}
         for seed_profile in _initial_profiles(self._game, num_samples, generator):
             result = self.run(seed_profile, rng=generator, **overrides)
-            if not result.converged:
+            # Under the inf -> inf no-gain rule every agent of a disconnected
+            # profile may stay put: "converged", but not an equilibrium.
+            if not result.converged or not np.isfinite(result.final_social_cost):
                 continue
             profile = result.final_profile
             if verify == "nash":
@@ -870,33 +889,21 @@ class GameSession:
         optimum_method: str = "auto",
         extra_equilibria: Iterable[StrategyProfile] = (),
         rng: np.random.Generator | int | None = None,
-        max_rounds: int | None = None,
-        response: str | None = None,
-        max_candidates: int | None = None,
-        engine: str | None = None,
-        schedule: str | None = None,
-        workers: int | None = None,
+        **overrides: Any,
     ) -> PoAEstimate:
         """Empirical Price-of-Anarchy estimate through the session.
 
         The session-native equivalent of
         :func:`repro.core.poa.estimate_poa`: the social optimum is computed
         once, equilibria are sampled via :meth:`sample_equilibria` (sharing
-        the session's pool) and ``extra_equilibria`` — e.g. the paper's
-        constructions — are folded into the worst/best-cost aggregation.
+        the session's pool, with the same ``overrides``) and
+        ``extra_equilibria`` — e.g. the paper's constructions — are folded
+        into the worst/best-cost aggregation.
         """
         self._ensure_open()
         opt = social_optimum(self._game, method=optimum_method)
         equilibria = self.sample_equilibria(
-            num_samples=num_samples,
-            verify=verify,
-            rng=rng,
-            max_rounds=max_rounds,
-            response=response,
-            max_candidates=max_candidates,
-            engine=engine,
-            schedule=schedule,
-            workers=workers,
+            num_samples=num_samples, verify=verify, rng=rng, **overrides
         )
         equilibria.extend(extra_equilibria)
         worst: StrategyProfile | None = None

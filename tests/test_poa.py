@@ -106,6 +106,33 @@ class TestEstimatePoA:
         )
         assert estimate.worst_equilibrium_cost >= small_tree_game.social_cost(tree)
 
+    @pytest.mark.parametrize("verify", ("greedy", "none"))
+    def test_infinite_cost_plateaus_are_not_equilibria(self, verify):
+        """The empty start "converges" under the inf -> inf no-gain rule.
+
+        Every agent of a disconnected profile may stay put, so the run stops
+        at infinite social cost; counting it as an equilibrium made the
+        estimate infinite.
+        """
+        from repro.metrics.generators import random_euclidean_host
+
+        game = NetworkCreationGame(
+            random_euclidean_host(8, rng=np.random.default_rng(0)), alpha=1.0
+        )
+        estimate = estimate_poa(game, num_samples=2, response="greedy", verify=verify)
+        assert np.isfinite(estimate.price_of_anarchy)
+        assert np.isfinite(estimate.worst_equilibrium_cost)
+        if verify == "greedy":
+            assert estimate.equilibria_found == 2
+            assert estimate.price_of_anarchy == pytest.approx(1.0117309359555675)
+        sampled = sample_equilibria(
+            game, num_samples=2, response="greedy", verify=verify
+        )
+        assert all(np.isfinite(game.social_cost(p)) for p in sampled)
+        assert StrategyProfile.empty(8).canonical_key() not in {
+            p.canonical_key() for p in sampled
+        }
+
     def test_tree_instance_price_of_stability_is_one(self, small_tree_game, rng):
         """Cor. 3 consequence: the best equilibrium of a T-GNCG costs exactly OPT."""
         from repro.core.equilibria import tree_profile_from_host

@@ -8,13 +8,14 @@ enforced here:
   ``from_dict(to_dict(c)) == c`` holds for every valid config (explicit
   activation orders included);
 
-* **shim equivalence** — the legacy keyword entry points
+* **shim equivalence** — the keyword-override entry points
   (:func:`repro.core.dynamics.run_dynamics`,
   :func:`repro.core.poa.sample_equilibria`,
   :func:`repro.analysis.experiments.poa_experiment`) produce bit-identical
   trajectories *and* :class:`~repro.core.incremental.EngineStats` versus
   the explicit session/config path, across every model variant, both
-  schedules and ``workers in {1, 2}``;
+  schedules and ``workers in {1, 2}``; none of them declares a config
+  field by name, so every field is accepted everywhere;
 
 * **pool amortization** — an equilibrium-sampling sweep through one
   session creates exactly one
@@ -626,6 +627,83 @@ def test_convergence_experiment_honors_config_order(monkeypatch):
         config=SimulationConfig(order="random"),
     )
     assert seen == ["random"]
+
+
+def _override_entry_points(game):
+    """The eight override-taking entry points, as ``(name, fn, call, field)``.
+
+    ``call(fn, **overrides)`` runs the entry point on a tiny workload; the
+    session methods run through an open default session on ``game``.
+    ``field`` is a ``(name, value)`` override the entry point did not
+    hand-list before config fields reached it through ``**overrides``.
+    """
+    from repro.analysis.experiments import (
+        dynamics_convergence_experiment,
+        poa_experiment,
+        sweep_alpha,
+    )
+
+    start = StrategyProfile.empty(game.n)
+    one_shot = ("repair_threshold", 0.1)  # session-scoped: set at open
+    per_run = ("seed", 5)
+
+    def in_session(method, **kwargs):
+        with GameSession(game) as session:
+            return method(session, **kwargs)
+
+    return [
+        ("run_dynamics", run_dynamics,
+         lambda f, **o: f(game, start, **o), per_run),
+        ("sample_equilibria", sample_equilibria,
+         lambda f, **o: f(game, num_samples=0, **o), one_shot),
+        ("estimate_poa", estimate_poa,
+         lambda f, **o: f(game, num_samples=0, **o), one_shot),
+        ("GameSession.sample_equilibria", GameSession.sample_equilibria,
+         lambda f, **o: in_session(f, num_samples=0, **o), per_run),
+        ("GameSession.poa", GameSession.poa,
+         lambda f, **o: in_session(f, num_samples=0, **o), per_run),
+        ("poa_experiment", poa_experiment,
+         lambda f, **o: f("euclidean", 4, 1.0, instances=1, samples_per_instance=0, **o),
+         one_shot),
+        ("sweep_alpha", sweep_alpha,
+         lambda f, **o: f("euclidean", 4, (1.0,), instances=1, samples_per_instance=0, **o),
+         one_shot),
+        ("dynamics_convergence_experiment", dynamics_convergence_experiment,
+         lambda f, **o: f("euclidean", 4, 1.0, instances=1, runs_per_instance=1, **o),
+         one_shot),
+    ]
+
+
+def test_entry_points_declare_no_config_field(monkeypatch):
+    """Config fields reach every entry point through **overrides, never by name.
+
+    Guards against re-growing hand-listed keyword shims: a field is accepted
+    everywhere because it is declared in repro.core.config, and an unknown
+    one is rejected everywhere.
+    """
+    import inspect
+
+    from repro.core.config import KNOBS
+
+    seen: list[SimulationConfig] = []
+    real_loop = session_module._run_session_loop
+
+    def spy(game, initial, *, cfg, **kwargs):
+        seen.append(cfg)
+        return real_loop(game, initial, cfg=cfg, **kwargs)
+
+    monkeypatch.setattr(session_module, "_run_session_loop", spy)
+    game = _random_game("euclidean", 4, np.random.default_rng(62))
+    for name, fn, call, (field, value) in _override_entry_points(game):
+        params = inspect.signature(fn).parameters
+        assert set(params).isdisjoint(KNOBS), name
+        assert params["overrides"].kind is inspect.Parameter.VAR_KEYWORD, name
+        seen.clear()
+        call(fn, max_rounds=2, **{field: value})
+        # Zero random samples still run the structural seed profiles.
+        assert seen and {getattr(cfg, field) for cfg in seen} == {value}, name
+        with pytest.raises(ValueError, match="unknown SimulationConfig field"):
+            call(fn, bogus=1)
 
 
 def test_session_rejects_unknown_verify_mode():
